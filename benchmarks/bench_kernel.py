@@ -1,35 +1,29 @@
 """Kernel throughput benchmark + CI regression gate.
 
-Measures events/second of the production kernels (``kernel="event"``
-skip-ahead and ``kernel="adaptive"`` density-switched vectorized) against
-the per-tick scanning reference (``kernel="tick"``) on fixed workloads,
-and records all of them into ``BENCH_kernel.json`` at the repo root
-(schema v2, one entry per measured kernel)::
+Measures events/second of the production kernel (``kernel="event"``:
+skip-ahead queue, active-set router with its array pass for wide
+multi-port relations) against the per-tick scanning reference
+(``kernel="tick"``) on fixed workloads, and records both into
+``BENCH_kernel.json`` at the repo root (schema v2)::
 
     "workloads": {
       "<name>": {
         "floor": 1.0,                # absolute speedup floor (gated kernel)
         "baseline": {...tick...},
         "kernels": {
-          "event":    {..., "speedup": <vs tick>},
-          "adaptive": {..., "speedup": <vs tick>}
+          "event": {..., "speedup": <vs tick>}
         }
       }
     }
 
 The gate (``--check``) is per-workload and two-sided:
 
-* the **gated kernel** (``adaptive`` — what the experiments run) must
-  beat the tick reference on *every* workload: ``speedup >= floor``
-  (1.0) absolutely, regardless of what the committed file says.  This is
-  the rule that would have rejected the event kernel's 0.7x on
-  ``routing_multiport_dense``.
-* every measured kernel must also stay within ``gate_ratio`` (0.8) of
-  its own committed speedup — the machine-speed-robust regression check
-  (ratios of ratios cancel the host's absolute speed).
-
-The ``event`` kernel keeps only the ratio gate: its dense-workload
-slowdown is the documented reason the adaptive kernel exists.
+* the **gated kernel** (``event`` — what the experiments run) must beat
+  the tick reference on *every* workload: ``speedup >= floor`` (1.0)
+  absolutely, regardless of what the committed file says.
+* it must also stay within ``gate_ratio`` (0.8) of its committed
+  speedup — the machine-speed-robust regression check (ratios of ratios
+  cancel the host's absolute speed).
 
 Usage::
 
@@ -95,10 +89,10 @@ GATE_RATIO = 0.8
 FLOOR = 1.0
 
 #: The kernel the floor applies to — what experiments actually run.
-GATED_KERNEL = "adaptive"
+GATED_KERNEL = "event"
 
 #: Kernels measured against the tick baseline, in report order.
-MEASURED_KERNELS = ("event", "adaptive")
+MEASURED_KERNELS = (GATED_KERNEL,)
 
 
 def _run_bsp_on_logp_sweep(kernel: str, obs=None) -> int:
@@ -161,8 +155,8 @@ def _routing_inputs(p: int, h: int, seed: int):
 
 def _run_routing_multiport_dense(kernel: str) -> int:
     """Dense multi-port routing — the tick scan's best case (every
-    created edge stays busy) and the event kernel's worst; the workload
-    the adaptive kernel's vectorized dense scanner exists for."""
+    created edge stays busy) and the scalar active-set loop's worst;
+    the workload the router's array pass exists for."""
     topo, paths = _routing_inputs(64, 256, 1)
     out = route_packets(topo, paths, RoutingConfig(kernel=kernel))
     return out.kernel.events
@@ -172,7 +166,7 @@ def _run_routing_multiport_dense_xl(kernel: str) -> int:
     """The dense regime at ROADMAP scale: a 512-relation on the
     256-node hypercube (~half a million transmissions, ~2k live links
     per step) — large enough that per-step array passes amortize and the
-    vectorized scanner pulls away from both scalar kernels."""
+    array pass pulls away from both scalar loops."""
     topo, paths = _routing_inputs(256, 512, 1)
     out = route_packets(topo, paths, RoutingConfig(kernel=kernel))
     return out.kernel.events

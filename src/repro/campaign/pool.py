@@ -24,6 +24,12 @@ Every completed point is reported to the caller *as it lands* via the
 ``on_result`` callback (the runner appends it to the
 :class:`~repro.campaign.store.ResultStore` immediately — that is what
 makes kill-and-resume lossless).
+
+Workers report over one pipe with synchronous sends (:class:`_Outbox`),
+not a ``multiprocessing.Queue``: a queue hands messages to a feeder
+thread, and a worker that dies by ``os._exit`` takes whatever the thread
+has not flushed with it.  A lost ``done`` would leave the parent blaming
+an ``ok`` point for the crash of the next point in its chunk.
 """
 
 from __future__ import annotations
@@ -148,6 +154,31 @@ def run_serial(target_fn, items, timeout_s, on_result) -> None:
         entry = execute_point(target_fn, item, timeout_s)
         entry["worker"] = 0
         on_result(entry)
+
+
+class _Outbox:
+    """Worker-to-parent message pipe whose ``put`` returns only once the
+    message is in the pipe, so it survives the sender's death.  The lock
+    keeps concurrent senders' messages whole."""
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, msg) -> None:
+        with self._lock:
+            self._writer.send(msg)
+
+    def get(self, timeout: float):
+        """The next message, or ``None`` after ``timeout`` seconds."""
+        return self._reader.recv() if self._reader.poll(timeout) else None
+
+    def pending(self) -> bool:
+        return self._reader.poll(0)
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
 
 
 def _worker_main(worker_id: int, target_name: str, timeout_s, task_q, result_q):
@@ -288,7 +319,7 @@ def run_pool(
 
     ctx = mp.get_context()
     task_q = ctx.Queue()
-    result_q = ctx.Queue()
+    result_q = _Outbox(ctx)
     for chunk in _chunks(items, workers):
         task_q.put(chunk)
 
@@ -374,10 +405,7 @@ def run_pool(
 
     idle_rounds = 0
     while remaining and not stopping:
-        try:
-            msg = result_q.get(timeout=0.25)
-        except queue_mod.Empty:
-            msg = None
+        msg = result_q.get(timeout=0.25)
         if msg is not None:
             idle_rounds = 0
             kind, worker_id, payload = msg
@@ -401,12 +429,19 @@ def run_pool(
                     proc.terminate()
                 raise RuntimeError(f"campaign worker {worker_id}: {payload}")
             continue
-        # No message: reap dead workers and their in-flight work.
+        # No message: reap dead workers and their in-flight work.  A
+        # worker seen dead has sent everything it ever will, so once the
+        # pipe is empty its last reports have all been handled.
         idle_rounds += 1
-        for wid, proc in list(procs.items()):
-            if wid in exited or proc.is_alive():
-                continue
-            proc.join(timeout=0)
+        dead = [
+            wid
+            for wid, proc in procs.items()
+            if wid not in exited and not proc.is_alive()
+        ]
+        if dead and result_q.pending():
+            continue
+        for wid in dead:
+            procs[wid].join(timeout=0)
             exited.add(wid)
             _handle_crash(wid)
         if remaining and all(
@@ -435,9 +470,8 @@ def run_pool(
         while time.monotonic() < deadline and any(
             p.is_alive() for p in procs.values()
         ):
-            try:
-                msg = result_q.get(timeout=0.1)
-            except queue_mod.Empty:
+            msg = result_q.get(timeout=0.1)
+            if msg is None:
                 continue
             if msg[0] == "done":  # late result from a straggler
                 started.pop(msg[1], None)
@@ -450,6 +484,6 @@ def run_pool(
     for proc in procs.values():
         proc.join(timeout=2.0)
     task_q.cancel_join_thread()
-    result_q.cancel_join_thread()
+    result_q.close()
     stats.wall_s = time.perf_counter() - t_start
     return stats

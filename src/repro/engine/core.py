@@ -120,13 +120,7 @@ class Engine:
     The machine supplies a ``dispatch(time, kind, pid, data)`` callable
     holding the model semantics and, optionally, an ``on_quiescence``
     hook that may re-seed the queue (returning ``True`` to continue) —
-    the distributed-termination release used by ``Linger``.  A machine
-    whose semantics are order-insensitive *within* a timestamp may
-    instead supply ``dispatch_batch(events)`` and receive every
-    same-timestamp event in one call (the delivery shape the adaptive
-    kernel's vectorized consumers want); events inside the batch still
-    arrive in ``(time, kind, seq)`` order, so the two hooks drive
-    bit-identical executions.
+    the distributed-termination release used by ``Linger``.
     """
 
     def __init__(
@@ -156,10 +150,9 @@ class Engine:
 
     def run(
         self,
-        dispatch: Callable[[int, int, int, Any], None] | None = None,
+        dispatch: Callable[[int, int, int, Any], None],
         *,
         on_quiescence: Callable[[int], bool] | None = None,
-        dispatch_batch: Callable[[list], None] | None = None,
     ) -> KernelCounters:
         """Drain the queue through ``dispatch`` until true quiescence.
 
@@ -168,38 +161,21 @@ class Engine:
         ordering is encoded entirely in its event-kind numbering.  When
         the queue drains, ``on_quiescence(last_time)`` may push new
         events and return ``True`` to keep running.
-
-        ``dispatch_batch`` is the batch-delivery alternative: it receives
-        the full list of ``(time, kind, pid, data)`` events sharing each
-        timestamp (in pop order) instead of one call per event.  Exactly
-        one of the two hooks must be supplied.
         """
-        if (dispatch is None) == (dispatch_batch is None):
-            raise TypeError("supply exactly one of dispatch / dispatch_batch")
         queue = self.queue
+        pop = queue.pop
         counters = queue.counters
         max_events = self.max_events
         time = 0
         while True:
-            if dispatch_batch is not None:
-                pop_batch = queue.pop_batch
-                while queue:
-                    if counters.events >= max_events:
-                        raise self.limit_error(f"exceeded max_events={max_events}")
-                    batch = pop_batch()
-                    time = batch[0][0]
-                    dispatch_batch(batch)
-            else:
-                pop = queue.pop
-                while queue:
-                    if counters.events >= max_events:
-                        raise self.limit_error(f"exceeded max_events={max_events}")
-                    time, kind, pid, data = pop()
-                    dispatch(time, kind, pid, data)
+            while queue:
+                if counters.events >= max_events:
+                    raise self.limit_error(f"exceeded max_events={max_events}")
+                time, kind, pid, data = pop()
+                dispatch(time, kind, pid, data)
             if on_quiescence is None or not on_quiescence(time):
                 break
         self.last_time = time
-        queue.sync_counters()
         if self.obs is not None:
             self.obs.publish_kernel(self.layer, counters)
         return counters

@@ -9,7 +9,7 @@ topology, parameter overrides, seed, kernel, obs flags — so a request
 can cross a socket, live in a campaign grid point, or be cached under a
 content-addressed key, and always name the exact same computation::
 
-    req = RunRequest(chain="bsp-on-logp-on-network", p=8, kernel="adaptive")
+    req = RunRequest(chain="bsp-on-logp-on-network", p=8, kernel="tick")
     result = Stack.from_request(req).run()
     req == Stack.from_request(req).to_request()          # round-trips
     RunRequest.from_dict(req.to_dict()) == req           # and as JSON
@@ -188,8 +188,8 @@ class RunRequest:
         Deterministic seed, forwarded to the seeded program factories
         and to hosts with randomized protocols.
     kernel:
-        Event-queue kernel (``event``/``tick``/``adaptive``) for layers
-        that own a queue; ``None`` keeps each layer's own default.
+        Event-queue kernel (``event``/``tick``) for layers that own a
+        queue; ``None`` keeps each layer's own default.
     metrics:
         Obs flag: compute the point with an attached
         :class:`~repro.obs.Observation` and embed its registry in the
@@ -234,12 +234,12 @@ class RunRequest:
             raise ParameterError(f"RunRequest needs p >= 1, got {self.p}")
         guest, hosts = parse_chain(chain)  # validates the chain shape
         if self.kernel is not None:
-            from repro.engine.core import KNOWN_KERNELS
+            from repro.perf.event_queue import KERNELS
 
-            if self.kernel not in KNOWN_KERNELS:
+            if self.kernel not in KERNELS:
                 raise ParameterError(
                     f"RunRequest kernel {self.kernel!r} unknown "
-                    f"(known: {', '.join(sorted(KNOWN_KERNELS))})"
+                    f"(known: {', '.join(KERNELS)})"
                 )
         if self.args and self.workload is None:
             raise ParameterError(

@@ -196,7 +196,7 @@ class Stack:
 # the component that owns an event queue — the host machine's
 # ``kernel=`` argument (folded into ``machine_kwargs`` for the theorem
 # simulators) or the router's ``RoutingConfig.kernel`` — so
-# ``.on_logp(params, kernel="adaptive")`` selects the kernel no matter
+# ``.on_logp(params, kernel="tick")`` selects the kernel no matter
 # how deep the simulator plumbing sits.
 
 

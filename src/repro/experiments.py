@@ -1181,8 +1181,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=KERNELS,
         default=None,
         help="event-queue kernel for the host machine / router: 'event' "
-        "(skip-ahead), 'tick' (reference scan), or 'adaptive' "
-        "(density-switched vectorized scanner); default: each layer's own",
+        "(skip-ahead) or 'tick' (reference scan); default: each layer's own",
     )
     _add_obs_flags(inspect_p)
     dist_p = sub.add_parser(

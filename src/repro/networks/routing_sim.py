@@ -18,12 +18,20 @@ proof; used by the Table 1 experiment on the hypercube-like networks).
 The routing time of a balanced h-relation then behaves as
 ``T(h) ~= gamma(p) * h + delta(p)``, and the experiment extracts
 ``(gamma, delta)`` by an affine fit over ``h``.
+
+The ``"event"`` kernel has two implementations of one schedule and picks
+between them from the relation itself (:func:`_vectorizes`): a scalar
+active-set loop, which serves every configuration, and a numpy array
+pass over all transmitting links at once, which serves multi-port FIFO
+relations wide enough to amortize its per-step array overhead.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,12 +41,20 @@ from repro.errors import RoutingError
 from repro.models.params import _bind_fields, resolve_aliases
 from repro.networks.topology import Topology
 from repro.perf.counters import KernelCounters
-from repro.perf.density import DensityEstimator
 from repro.perf.event_queue import KERNELS
 from repro.routing.workloads import balanced_h_relation
 from repro.util.rng import make_rng
 
 __all__ = ["RoutingConfig", "RoutingOutcome", "route_packets", "route_h_relation"]
+
+#: The event kernel vectorizes a multi-port FIFO relation iff it has at
+#: least this many packets ...
+VECTOR_MIN_PACKETS = 512
+#: ... and at least this many times ``h``, the most packets any node
+#: sends or receives.  Below either bound most steps move only a handful
+#: of packets (a hot spot drains one packet per link per step), and the
+#: array pass's fixed per-step cost loses to the scalar loop.
+VECTOR_MIN_RATIO = 8
 
 
 @dataclass(frozen=True, init=False)
@@ -57,14 +73,10 @@ class RoutingConfig:
     deprecated spelling — the unified keyword vocabulary uses one
     ``seed`` everywhere; see docs/ARCHITECTURE.md.)
     ``kernel``: ``"event"`` visits only edges/nodes with queued packets
-    each step (active-set scheduling); ``"tick"`` is the reference scan
-    over every edge ever created; ``"adaptive"`` measures live link
-    occupancy per step and switches (with hysteresis) between the
-    event kernel's active-set scheduling and a numpy-vectorized dense
-    scanner that moves every transmitting packet in one array pass —
-    the multiport/FIFO hot path (under ``single_port`` or
-    ``priority="farthest"`` it falls back to the event path, relabelled).
-    All kernels execute bit-identically — same transmission order, same
+    each step (active-set scheduling), moving a wide multi-port FIFO
+    relation in one numpy array pass per step (see :func:`_vectorizes`);
+    ``"tick"`` is the reference scan over every edge ever created.
+    Both kernels execute bit-identically — same transmission order, same
     fault-stream draws — the kernel only changes how the next actionable
     work is *found and dispatched*.
     """
@@ -173,14 +185,36 @@ def route_packets(
     if obs is not None and not obs.enabled:
         obs = None
     if config.kernel == "tick":
-        outcome, occupancy, hops = _route_packets_tick(paths, config, obs)
-    elif config.kernel == "adaptive":
-        outcome, occupancy, hops = _route_packets_adaptive(paths, config, obs)
+        route = _route_packets_tick
+    elif _vectorizes(paths, config):
+        route = _route_packets_array
     else:
-        outcome, occupancy, hops = _route_packets_event(paths, config, obs)
+        route = _route_packets_event
+    outcome, occupancy, hops = route(paths, config, obs)
     if obs is not None:
         obs.observe_routing(outcome, occupancy, hops, layer=layer)
     return outcome
+
+
+def _vectorizes(paths: list[list[int]], config: RoutingConfig) -> bool:
+    """Whether the event kernel routes ``paths`` with the array pass.
+
+    Only multi-port FIFO relations qualify, and only wide ones: at least
+    :data:`VECTOR_MIN_PACKETS` packets and at least
+    :data:`VECTOR_MIN_RATIO` times ``h``, the most packets any node
+    sends or receives.  A balanced h-relation on ``p`` nodes has
+    ``n = p * h`` packets, so it vectorizes once ``p >= 8`` and
+    ``n >= 512``; a gather of ``n`` packets into one node has ``h = n``
+    and never does.
+    """
+    n = len(paths)
+    if config.single_port or config.priority != "fifo" or n < VECTOR_MIN_PACKETS:
+        return False
+    h = max(
+        max(Counter(map(itemgetter(0), paths)).values()),
+        max(Counter(map(itemgetter(-1), paths)).values()),
+    )
+    return n >= VECTOR_MIN_RATIO * h
 
 
 def _route_packets_event(
@@ -455,75 +489,60 @@ def _route_packets_tick(
     return outcome, occupancy, hops
 
 
-def _route_packets_adaptive(
+def _route_packets_array(
     paths: list[list[int]], config: RoutingConfig, obs=None
 ):
-    """Adaptive kernel: density-switched active-set / vectorized scan.
+    """The event kernel's array pass for multi-port FIFO relations.
 
-    Link state lives in numpy arrays: paths are flattened into
-    ``flat_nodes`` with per-packet ``(path_off, path_len, pos)``, and each
-    edge queue is an intrusive linked list over packets (``qhead[e]``,
-    ``qtail[e]``, ``qnext[pkt]``, ``qlen[e]``) — every packet sits in at
-    most one queue, so one ``qnext`` array suffices.  Each step measures
-    occupancy (``active edges / created edges``); a
-    :class:`~repro.perf.density.DensityEstimator` picks the mode with
-    hysteresis:
-
-    * **sparse** — a Python loop over the active edges (the event
-      kernel's schedule, on array state);
-    * **dense** — one array pass: batched fault draws, gathered FIFO
-      pops, vectorized arrival detection, and grouped stable-sort
-      appends.
+    Link state lives in numpy arrays: every hop of every path gets a
+    compact link id in ``hop_cid`` (packet ``k``'s hops start at
+    ``hop_off[k]``, and ``pos[k]`` counts the hops it has taken), and
+    each edge queue is an intrusive linked list over packets
+    (``qhead[e]``, ``qtail[e]``, ``qnext[pkt]``, ``qlen[e]``) — every
+    packet sits in at most one queue, so one ``qnext`` array suffices.
+    Each step moves every transmitting packet at once: batched fault
+    draws, gathered FIFO pops, vectorized arrival detection, and grouped
+    stable-sort appends.
 
     Bit-identity with the scalar kernels holds because (a) the active
-    set is iterated in sorted edge-creation order in both modes — the
-    same sequence the reference scan produces, (b) a batched
-    ``rng.random(n)`` draws the exact scalar fault stream (numpy's
-    Generator fills arrays with sequential draws), (c) FIFO append order
-    is preserved by the stable sort, and (d) new edges are numbered in
-    first-use order within each batch.  Only the multiport/FIFO path is
-    vectorized: ``single_port`` or ``priority="farthest"`` delegates to
-    the event kernel (relabelled, so results still say "adaptive").
+    edges are taken in sorted edge-creation order — the same sequence
+    the reference scan produces, (b) a batched ``rng.random(n)`` draws
+    the exact scalar fault stream (numpy's Generator fills arrays with
+    sequential draws), (c) FIFO append order is preserved by the stable
+    sort, and (d) new edges are numbered in first-use order within each
+    batch.  It serves only the relations :func:`_vectorizes` selects, so
+    it may assume a nonempty multi-port FIFO relation.
     """
-    if config.single_port or config.priority != "fifo":
-        outcome, occupancy, hops = _route_packets_event(paths, config, obs)
-        outcome.kernel.kernel = "adaptive"
-        return outcome, occupancy, hops
-
     n_pkts = len(paths)
-    counters = counters_for("adaptive")
+    counters = counters_for("event")
     occupancy: dict[tuple[int, int], int] | None = {} if obs is not None else None
     hops: list[tuple[int, int, int, int]] | None = (
         [] if (obs is not None and obs.tracing) else None
     )
 
-    path_len = np.array([len(p) for p in paths], dtype=np.int64)
-    total_hops = int((path_len - 1).sum()) if n_pkts else 0
-    path_off = np.zeros(n_pkts, dtype=np.int64)
-    if n_pkts > 1:
-        np.cumsum(path_len[:-1], out=path_off[1:])
-    flat: list[int] = []
-    for p in paths:
-        flat.extend(p)
-    flat_nodes = np.array(flat, dtype=np.int64)
+    path_len = np.fromiter(map(len, paths), dtype=np.int64, count=n_pkts)
+    path_end = np.cumsum(path_len)
+    total_hops = int(path_end[-1]) - n_pkts
+    hop_off = path_end - path_len - np.arange(n_pkts)
 
-    # Candidate edge space: every hop any path can take, as a packed key
-    # u*K + v.  Hop positions are all flat indices except each path's
-    # last node (which starts no hop).
-    K = int(flat_nodes.max()) + 1 if flat_nodes.size else 1
-    is_hop = np.ones(flat_nodes.size, dtype=bool)
-    last_idx = path_off + path_len - 1
-    is_hop[last_idx[path_len > 0]] = False
-    hop_keys = flat_nodes[:-1] * K + flat_nodes[1:] if flat_nodes.size else flat_nodes
-    # One unique pass yields both the key table and the per-hop compact
-    # index; flat_ckeys is only meaningful at hop positions.
-    cand_keys, inv = np.unique(hop_keys[is_hop[:-1]], return_inverse=True)
+    # Pack each node pair (u, v) of the concatenated paths as the key
+    # u*K + v, then drop the pairs that straddle two paths: the rest are
+    # the hops, in path order.  A link's compact id is its key's rank
+    # among the distinct keys.
+    flat = np.fromiter(chain.from_iterable(paths), np.int64, int(path_end[-1]))
+    K = int(flat.max()) + 1
+    hop_keys = flat[:-1] * K
+    hop_keys += flat[1:]
+    del flat
+    hop_keys = np.delete(hop_keys, path_end[:-1] - 1)
+    cand_keys = np.sort(hop_keys)
+    cand_keys = cand_keys[np.concatenate(([True], cand_keys[1:] != cand_keys[:-1]))]
     n_cand = int(cand_keys.size)
-    flat_ckeys = np.zeros(flat_nodes.size, dtype=np.int64)
-    flat_ckeys[np.flatnonzero(is_hop[:-1])] = inv
+    hop_cid = np.searchsorted(cand_keys, hop_keys)
+    del hop_keys
 
     # Edge state, indexed by creation-order edge id (eid).
-    eid_of_ckey = np.full(n_cand, -1, dtype=np.int64)
+    eid_of_cid = np.full(n_cand, -1, dtype=np.int64)
     key_of_eid = np.zeros(n_cand, dtype=np.int64)
     qhead = np.zeros(n_cand, dtype=np.int64)
     qtail = np.zeros(n_cand, dtype=np.int64)
@@ -539,29 +558,28 @@ def _route_packets_adaptive(
         nonlocal n_edges, max_queue
         if not movers.size:
             return
-        ckeys = flat_ckeys[path_off[movers] + pos[movers]]
-        eids = eid_of_ckey[ckeys]
-        new = eids < 0
-        if new.any():
-            # Number fresh edges in first-use order — the scalar kernels'
-            # creation-order numbering.
-            uck, first = np.unique(ckeys[new], return_index=True)
-            order = np.argsort(first, kind="stable")
-            ids = np.arange(n_edges, n_edges + uck.size, dtype=np.int64)
-            eid_of_ckey[uck[order]] = ids
-            key_of_eid[ids] = cand_keys[uck[order]]
-            n_edges += int(uck.size)
-            eids = eid_of_ckey[ckeys]
-        # Group by eid; the stable sort keeps mover order within groups.
-        srt = np.argsort(eids, kind="stable")
+        cids = hop_cid[hop_off[movers] + pos[movers]]
+        # Group movers by link; the stable sort keeps mover order within
+        # groups, so a group's first entry is its link's first use.
+        srt = np.argsort(cids, kind="stable")
         spkts = movers[srt]
-        seids = eids[srt]
-        same = seids[1:] == seids[:-1]
-        # Chain consecutive same-edge movers, then splice each group.
-        qnext[spkts[:-1][same]] = spkts[1:][same]
+        scids = cids[srt]
+        same = scids[1:] == scids[:-1]
         starts = np.flatnonzero(np.concatenate(([True], ~same)))
         stops = np.flatnonzero(np.concatenate((~same, [True])))
-        ueids = seids[starts]
+        gcids = scids[starts]
+        new = eid_of_cid[gcids] < 0
+        if new.any():
+            # Number fresh links in first-use order — the scalar kernels'
+            # creation-order numbering.
+            fresh = gcids[new][np.argsort(srt[starts][new])]
+            ids = np.arange(n_edges, n_edges + fresh.size, dtype=np.int64)
+            eid_of_cid[fresh] = ids
+            key_of_eid[ids] = cand_keys[fresh]
+            n_edges += int(fresh.size)
+        ueids = eid_of_cid[gcids]
+        # Chain consecutive same-link movers, then splice each group.
+        qnext[spkts[:-1][same]] = spkts[1:][same]
         firsts = spkts[starts]
         was_empty = qlen[ueids] == 0
         qhead[ueids[was_empty]] = firsts[was_empty]
@@ -573,16 +591,17 @@ def _route_packets_adaptive(
         if peak > max_queue:
             max_queue = peak
 
-    live = 0
-    if n_pkts:
-        movers0 = np.flatnonzero(path_len >= 2)
-        live = int(movers0.size)
-        append(movers0)
+    movers0 = np.flatnonzero(path_len >= 2)
+    live = int(movers0.size)
+    # Enqueue in slices: one append over every packet would hold several
+    # packet-sized temporaries at once.  Appends keep their movers'
+    # order, so the queues and link numbering come out the same.
+    for i in range(0, live, 2048):
+        append(movers0[i : i + 2048])
 
     fault_rate = config.link_fault_rate
     fault_rng = make_rng(config.seed) if fault_rate > 0 else None
     retransmissions = 0
-    est = DensityEstimator(enter=0.5, exit=0.25, alpha=0.5)
 
     time = 0
     while live:
@@ -593,57 +612,30 @@ def _route_packets_adaptive(
         actives = np.flatnonzero(qlen[:n_edges] > 0)
         n_active = int(actives.size)
         counters.ticks_skipped += n_edges - n_active
-        dense = est.observe(n_active / n_edges) if n_edges else False
         if not n_active:
             raise RoutingError("routing deadlock: live packets but no moves")
         counters.events += n_active
-        if dense:
-            counters.dense_batches += 1
-            if fault_rng is not None:
-                ok = fault_rng.random(n_active) >= fault_rate
-                retransmissions += n_active - int(ok.sum())
-                edges = actives[ok]
-            else:
-                edges = actives
-            pkts = qhead[edges]
-            qhead[edges] = qnext[pkts]
-            qlen[edges] -= 1
-            if occ_counts is not None:
-                occ_counts[edges] += 1
-                if hops is not None:
-                    us, vs = np.divmod(key_of_eid[edges], K)
-                    for pkt, u, v in zip(pkts.tolist(), us.tolist(), vs.tolist()):
-                        hops.append((time, pkt, u, v))
-            pos[pkts] += 1
-            arrived = pos[pkts] + 1 >= path_len[pkts]
-            live -= int(arrived.sum())
-            append(pkts[~arrived])
+        if fault_rng is not None:
+            ok = fault_rng.random(n_active) >= fault_rate
+            retransmissions += n_active - int(ok.sum())
+            edges = actives[ok]
         else:
-            moved: list[int] = []
-            for e in actives.tolist():
-                if fault_rng is not None and fault_rng.random() < fault_rate:
-                    retransmissions += 1
-                    continue
-                pkt = int(qhead[e])
-                qhead[e] = qnext[pkt]
-                qlen[e] -= 1
-                moved.append(pkt)
-                if occ_counts is not None:
-                    occ_counts[e] += 1
-                    if hops is not None:
-                        key = int(key_of_eid[e])
-                        hops.append((time, pkt, key // K, key % K))
-            movers: list[int] = []
-            for pkt in moved:
-                pos[pkt] += 1
-                if pos[pkt] + 1 >= path_len[pkt]:
-                    live -= 1
-                else:
-                    movers.append(pkt)
-            append(np.asarray(movers, dtype=np.int64))
+            edges = actives
+        pkts = qhead[edges]
+        qhead[edges] = qnext[pkts]
+        qlen[edges] -= 1
+        if occ_counts is not None:
+            occ_counts[edges] += 1
+            if hops is not None:
+                us, vs = np.divmod(key_of_eid[edges], K)
+                for pkt, u, v in zip(pkts.tolist(), us.tolist(), vs.tolist()):
+                    hops.append((time, pkt, u, v))
+        pos[pkts] += 1
+        arrived = pos[pkts] + 1 >= path_len[pkts]
+        live -= int(arrived.sum())
+        append(pkts[~arrived])
 
     counters.queue_highwater = max_queue
-    est.publish(counters)
     if occupancy is not None:
         for eid in range(n_edges):
             c = int(occ_counts[eid])

@@ -114,23 +114,6 @@ class Observation:
         m.gauge("kernel.queue_highwater", layer=layer, kernel=kind).track_max(
             counters.queue_highwater
         )
-        if kind == "adaptive":
-            # Mode residency and switching of the density-adaptive kernel.
-            m.counter("kernel.mode_switches", layer=layer, kernel=kind).inc(
-                counters.mode_switches
-            )
-            m.counter("kernel.dense_batches", layer=layer, kernel=kind).inc(
-                counters.dense_batches
-            )
-            m.counter("kernel.sparse_batches", layer=layer, kernel=kind).inc(
-                counters.sparse_batches
-            )
-            m.counter("kernel.density_samples", layer=layer, kernel=kind).inc(
-                counters.density_samples
-            )
-            m.gauge("kernel.density", layer=layer, kernel=kind).set(
-                round(counters.density, 6)
-            )
 
     def _publish_faults(self, layer: str, fault_log) -> None:
         if fault_log is None:

@@ -6,10 +6,8 @@ regressions on the numbers these counters produce.
 """
 
 from repro.perf.counters import KernelCounters
-from repro.perf.density import DensityEstimator
 from repro.perf.event_queue import (
     KERNELS,
-    AdaptiveEventQueue,
     IndexedEventQueue,
     TickScanQueue,
     make_event_queue,
@@ -23,10 +21,8 @@ from repro.perf.memo import (
 
 __all__ = [
     "KernelCounters",
-    "DensityEstimator",
     "IndexedEventQueue",
     "TickScanQueue",
-    "AdaptiveEventQueue",
     "KERNELS",
     "make_event_queue",
     "PlanCache",

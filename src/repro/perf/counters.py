@@ -39,45 +39,18 @@ class KernelCounters:
     ticks_skipped: int = 0
     #: Peak size of the pending-work structure.
     queue_highwater: int = 0
-    #: Adaptive kernel only — dense<->sparse mode transitions.
-    mode_switches: int = 0
-    #: Adaptive kernel only — scheduling rounds spent in dense mode
-    #: (sparse residency is ``batches - dense_batches``).
-    dense_batches: int = 0
-    #: Adaptive kernel only — density samples folded into the estimator.
-    density_samples: int = 0
-    #: Adaptive kernel only — final EWMA density estimate.
-    density: float = 0.0
 
     @property
     def events_per_batch(self) -> float:
         """Mean amount of real work per scheduling round."""
         return self.events / self.batches if self.batches else 0.0
 
-    @property
-    def sparse_batches(self) -> int:
-        """Adaptive kernel only — scheduling rounds spent in sparse mode."""
-        return self.batches - self.dense_batches
-
     def as_dict(self) -> dict:
-        """Plain-dict form for JSON serialization (benchmarks, goldens).
-
-        The adaptive-mode fields only appear for ``kernel="adaptive"``,
-        keeping the event/tick/superstep serializations byte-stable.
-        """
-        doc = {
+        """Plain-dict form for JSON serialization (benchmarks, goldens)."""
+        return {
             "kernel": self.kernel,
             "events": self.events,
             "batches": self.batches,
             "ticks_skipped": self.ticks_skipped,
             "queue_highwater": self.queue_highwater,
         }
-        if self.kernel == "adaptive":
-            doc.update(
-                mode_switches=self.mode_switches,
-                dense_batches=self.dense_batches,
-                sparse_batches=self.sparse_batches,
-                density_samples=self.density_samples,
-                density=round(self.density, 6),
-            )
-        return doc

@@ -1,6 +1,7 @@
 """Worker pool: isolation of failures, timeouts, and dying workers."""
 
 import os
+import threading
 
 import pytest
 
@@ -87,6 +88,53 @@ class TestParallel:
         assert len(by_status["crashed"]) == 3
         assert all(e["record"] is None for e in by_status["crashed"])
         assert stats.crashed_workers >= 1
+
+    def test_ok_point_before_a_crash_in_its_chunk_stays_ok(self):
+        """Chunks of [ok, crash]: the worker reports the ok point and
+        dies on the next one at once.  Each report must reach the parent
+        before the worker runs on, or the ok point is blamed for the
+        crash.  The ok point sleeps briefly, so everything the worker
+        sent before it has long been delivered, and only its own
+        ``done`` is at stake."""
+        spec = CampaignSpec(
+            name="c",
+            target="demo",
+            grid=(("x", tuple(range(8))), ("mode", ("timeout", "crash"))),
+            base={"sleep_s": 0.05},
+        )
+        items = spec.items("fp")
+        assert [item["point"]["mode"] for item in items[:2]] == ["timeout", "crash"]
+        out, _ = collect("demo", items, workers=2, timeout_s=None)
+        status = {e["key"]: e["status"] for e in out}
+        assert len(status) == len(items) == 16
+        for item in items:
+            want = "ok" if item["point"]["mode"] == "timeout" else "crashed"
+            assert status[item["key"]] == want, item["point"]
+
+    def test_concurrent_large_reports_arrive_whole(self):
+        """More workers than cores, each report larger than a pipe's
+        atomic write: the shared result pipe must deliver every entry
+        intact, never two senders' bytes interleaved."""
+        pad = "p" * 16384
+        spec = CampaignSpec(
+            name="s", target="demo", grid=(("x", tuple(range(48))),), base={"pad": pad}
+        )
+        items = spec.items("fp")
+        # A garbled pipe blocks the parent's read, so bound the wait.
+        runs = []
+        runner = threading.Thread(
+            target=lambda: runs.append(collect("demo", items, workers=4, timeout_s=None)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert runs, "the pool never finished: a report was lost or garbled"
+        out, _ = runs[0]
+        assert sorted(e["key"] for e in out) == sorted(item["key"] for item in items)
+        for e in out:
+            assert e["status"] == "ok"
+            assert e["point"]["pad"] == pad
+            assert e["record"]["y"] == e["point"]["x"] ** 2
 
     def test_all_points_crashing_does_not_kill_the_campaign(self):
         # Every worker dies, the respawn budget drains, and the isolated

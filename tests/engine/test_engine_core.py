@@ -12,11 +12,11 @@ from repro.engine import (
     coerce_programs,
     counters_for,
 )
-from repro.perf import KERNELS
 from repro.errors import DeadlockError, ProgramError, SimulationLimitError
 from repro.logp import Recv
 from repro.logp.machine import LogPMachine
 from repro.models.params import BSPParams, LogPParams
+from repro.perf import KERNELS
 from repro.programs import bsp_prefix_program, logp_sum_program
 
 PARAMS = LogPParams(p=4, L=8, o=2, G=2)
@@ -105,59 +105,35 @@ class TestLayerLabelledErrors:
             LogPMachine(PARAMS, max_events=3).run(logp_sum_program())
 
 
-class TestDispatchBatchHook:
-    """The engine's batch-delivery alternative to per-event dispatch."""
+class TestDriveLoop:
+    """``Engine.run``: per-event dispatch in ``(time, kind, seq)`` order,
+    the ``max_events`` guard, and the quiescence release."""
 
     def _engine(self, kernel="event", **kwargs):
         kwargs.setdefault("max_events", 1000)
-        return Engine(kernel=kernel, p=4, layer="test", **kwargs)
-
-    def _seed(self, engine):
+        engine = Engine(kernel=kernel, p=4, layer="test", **kwargs)
         engine.push(3, 1, 0, "x")
         engine.push(3, 0, 1, "y")
         engine.push(7, 0, 2, "z")
-
-    def test_exactly_one_hook_required(self):
-        engine = self._engine()
-        with pytest.raises(TypeError, match="exactly one"):
-            engine.run()
-        with pytest.raises(TypeError, match="exactly one"):
-            engine.run(lambda *ev: None, dispatch_batch=lambda b: None)
+        return engine
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_batches_group_by_timestamp(self, kernel):
+    def test_dispatch_in_pop_order(self, kernel):
         engine = self._engine(kernel)
-        self._seed(engine)
-        batches = []
-        engine.run(dispatch_batch=batches.append)
-        assert batches == [
-            [(3, 0, 1, "y"), (3, 1, 0, "x")],
-            [(7, 0, 2, "z")],
-        ]
+        seen = []
+        engine.run(lambda t, k, pid, data: seen.append((t, k, pid, data)))
+        assert seen == [(3, 0, 1, "y"), (3, 1, 0, "x"), (7, 0, 2, "z")]
         assert engine.last_time == 7
         assert engine.counters.events == 3
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_batch_delivery_matches_per_event_dispatch(self, kernel):
-        one_by_one, batched = [], []
-        a = self._engine(kernel)
-        self._seed(a)
-        a.run(lambda t, k, pid, data: one_by_one.append((t, k, pid, data)))
-        b = self._engine(kernel)
-        self._seed(b)
-        b.run(dispatch_batch=batched.extend)
-        assert batched == one_by_one
-
-    def test_max_events_guard_applies_to_batches(self):
+    def test_max_events_guard(self):
         engine = self._engine(max_events=2)
-        self._seed(engine)
-        with pytest.raises(SimulationLimitError, match="max_events"):
-            engine.run(dispatch_batch=lambda batch: None)
+        with pytest.raises(SimulationLimitError, match=r"\[test\] .*max_events"):
+            engine.run(lambda *event: None)
 
-    def test_quiescence_release_reenters_batch_loop(self):
+    def test_quiescence_release_reenters_the_loop(self):
         engine = self._engine()
-        engine.push(1, 0, 0, "first")
-        batches = []
+        seen = []
         released = []
 
         def on_quiescence(last_time):
@@ -167,7 +143,7 @@ class TestDispatchBatchHook:
             engine.push(last_time + 4, 0, 1, "released")
             return True
 
-        engine.run(dispatch_batch=batches.append, on_quiescence=on_quiescence)
-        assert released == [1]
-        assert [b[0][3] for b in batches] == ["first", "released"]
-        assert engine.last_time == 5
+        engine.run(lambda *event: seen.append(event[3]), on_quiescence=on_quiescence)
+        assert released == [7]
+        assert seen == ["y", "x", "z", "released"]
+        assert engine.last_time == 11

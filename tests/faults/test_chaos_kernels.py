@@ -1,13 +1,14 @@
 """Chaos regression: seeded fault injection must be kernel-invariant.
 
-The adaptive kernel's dense fast paths — the queue's ``t+1`` bucket
-probe and the router's vectorized multiport step with *batched* fault
-draws — share their RNG streams with the scalar paths they replace.
-These tests pin that a chaotic seeded run (drops, duplicates, delays,
-reorders on the LogP medium; lossy links in the packet router) produces
-identical fault fates and traces under all three kernels: a vectorized
-draw that consumed the stream in a different order would show up here
-as diverging fates even when aggregate counts happen to agree.
+The event kernel's fast paths — the indexed queue's skip-ahead and the
+router's active-set loop — share their RNG streams with the tick
+reference scan.  These tests pin that a chaotic seeded run (drops,
+duplicates, delays, reorders on the LogP medium; lossy links in the
+packet router) produces identical fault fates and traces under both
+kernels: a path that consumed the stream in a different order would
+show up here as diverging fates even when aggregate counts happen to
+agree.  The router's array pass, with its batched fault draws, is
+pinned the same way in ``tests/networks/test_router_paths.py``.
 """
 
 from __future__ import annotations

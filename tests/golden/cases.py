@@ -154,12 +154,13 @@ def case_routing(kernel: str) -> dict:
 
 
 def case_routing_multiport_dense(kernel: str) -> dict:
-    """Dense multiport routing — the adaptive kernel's vectorized hot
-    path — pinned down to the individual transmission: the projection
-    keeps the full hop trace ``[time, packet, link]`` in pop order, so a
-    vectorized step that reorders pops, renumbers edges, or drifts off
-    the shared fault-stream draw order fails against the committed file
-    even when the aggregate outcome happens to survive."""
+    """Dense multiport routing — 512 packets with h = 16, which the
+    event kernel routes with its array pass — pinned down to the
+    individual transmission: the projection keeps the full hop trace
+    ``[time, packet, link]`` in pop order, so a vectorized step that
+    reorders pops, renumbers edges, or drifts off the shared
+    fault-stream draw order fails against the committed file even when
+    the aggregate outcome happens to survive."""
     from repro.obs import Observation
 
     out: dict = {}

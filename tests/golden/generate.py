@@ -5,10 +5,9 @@ Run from the repo root::
     PYTHONPATH=src python tests/golden/generate.py
 
 Each golden is produced with the ``"event"`` kernel and then verified to
-be bit-identical under every other kernel (the ``"tick"`` reference and
-the ``"adaptive"`` vectorized scanner) before anything is written — a
-golden the kernels disagree on would be recording a kernel bug, not a
-canonical execution.
+be bit-identical under the ``"tick"`` reference before anything is
+written — a golden the kernels disagree on would be recording a kernel
+bug, not a canonical execution.
 """
 
 from __future__ import annotations

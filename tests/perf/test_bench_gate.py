@@ -4,11 +4,10 @@ The gate logic lives in ``benchmarks/bench_kernel.py`` (an argparse CLI,
 imported here by file path).  These tests feed ``check()`` synthetic
 reports so the rules are pinned without running any timed workload:
 
-* the gated kernel (``adaptive``) has an absolute 1.0x floor on every
-  workload — binding even for workloads with no committed baseline;
-* other kernels (``event``) carry only the ratio gate against their own
-  committed speedup (their sub-1.0x dense results are the documented
-  reason the adaptive kernel exists);
+* the one measured kernel (``event``) is the gated kernel, with an
+  absolute 1.0x floor on every workload — binding even for workloads
+  with no committed baseline;
+* it must also stay within the ratio gate of its committed speedup;
 * committed baselines are read in both the v2 per-kernel layout and the
   legacy v1 event-only one.
 """
@@ -26,12 +25,10 @@ bench_kernel = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_kernel)
 
 
-def entry(event=None, adaptive=None, floor=1.0) -> dict:
+def entry(event=None, floor=1.0) -> dict:
     kernels = {}
     if event is not None:
         kernels["event"] = {"speedup": event}
-    if adaptive is not None:
-        kernels["adaptive"] = {"speedup": adaptive}
     return {"floor": floor, "kernels": kernels}
 
 
@@ -40,80 +37,79 @@ def report(**workloads) -> dict:
 
 
 class TestAbsoluteFloor:
+    def test_event_is_the_one_gated_kernel(self):
+        assert bench_kernel.GATED_KERNEL == "event"
+        assert bench_kernel.MEASURED_KERNELS == ("event",)
+
     def test_sub_floor_gated_kernel_fails(self):
-        rep = report(dense=entry(adaptive=0.93))
+        rep = report(dense=entry(event=0.93))
         assert bench_kernel.check(rep, committed=None) == 1
 
     def test_floor_binds_without_committed_entry(self):
         """A brand-new workload cannot ship below 1.0x: the floor fires
         even when the committed file has never seen the workload."""
         committed = {"workloads": {}, "gate_ratio": 0.8}
-        rep = report(brand_new=entry(adaptive=0.5))
+        rep = report(brand_new=entry(event=0.5))
         assert bench_kernel.check(rep, committed) == 1
 
     def test_floor_binds_even_when_committed_speedup_is_low(self):
         """A low committed speedup must not relax the absolute floor."""
         committed = {
-            "workloads": {"dense": entry(adaptive=0.4)},
+            "workloads": {"dense": entry(event=0.4)},
             "gate_ratio": 0.8,
         }
-        rep = report(dense=entry(adaptive=0.9))
+        rep = report(dense=entry(event=0.9))
         assert bench_kernel.check(rep, committed) == 1
 
     def test_at_floor_passes(self):
-        rep = report(dense=entry(adaptive=1.0))
+        rep = report(dense=entry(event=1.0))
         assert bench_kernel.check(rep, committed=None) == 0
 
     def test_per_workload_floor_override(self):
-        rep = report(dense=entry(adaptive=1.3, floor=1.5))
+        rep = report(dense=entry(event=1.3, floor=1.5))
         assert bench_kernel.check(rep, committed=None) == 1
 
 
 class TestRatioGate:
-    def test_event_kernel_has_no_floor(self):
-        """Sub-1.0x on the event kernel alone is not a failure (its
-        dense slowdown is why the adaptive kernel exists)."""
-        rep = report(dense=entry(event=0.75, adaptive=1.4))
-        assert bench_kernel.check(rep, committed=None) == 0
-
     def test_regression_against_committed_fails(self):
         committed = {
-            "workloads": {"w": entry(event=2.0, adaptive=2.0)},
+            "workloads": {"w": entry(event=2.0)},
             "gate_ratio": 0.8,
         }
-        rep = report(w=entry(event=1.2, adaptive=2.0))  # 1.2 < 0.8 * 2.0
+        rep = report(w=entry(event=1.5))  # 1.5 < 0.8 * 2.0
         assert bench_kernel.check(rep, committed) == 1
 
     def test_within_ratio_passes(self):
         committed = {
-            "workloads": {"w": entry(event=2.0, adaptive=2.0)},
+            "workloads": {"w": entry(event=2.0)},
             "gate_ratio": 0.8,
         }
-        rep = report(w=entry(event=1.7, adaptive=1.7))
+        rep = report(w=entry(event=1.7))
         assert bench_kernel.check(rep, committed) == 0
 
     def test_failures_accumulate_per_kernel_and_workload(self):
         committed = {
-            "workloads": {"w": entry(event=2.0, adaptive=2.0)},
+            "workloads": {"w": entry(event=2.0), "u": entry(event=3.0)},
             "gate_ratio": 0.8,
         }
         rep = report(
-            w=entry(event=1.0, adaptive=0.9),  # ratio fail + floor fail
-            v=entry(adaptive=0.8),  # floor fail (uncommitted workload)
+            w=entry(event=0.9),  # ratio fail + floor fail: one failure
+            u=entry(event=2.0),  # ratio fail
+            v=entry(event=0.8),  # floor fail (uncommitted workload)
         )
         assert bench_kernel.check(rep, committed) == 3
 
 
 class TestCommittedSpeedupLayouts:
     def test_v2_per_kernel_layout(self):
-        e = entry(event=2.5, adaptive=3.0)
+        e = entry(event=2.5)
         assert bench_kernel._committed_speedup(e, "event") == 2.5
-        assert bench_kernel._committed_speedup(e, "adaptive") == 3.0
+        assert bench_kernel._committed_speedup(e, "tick") is None
 
     def test_legacy_v1_event_only_layout(self):
         legacy = {"speedup": 2.0, "baseline": {}, "current": {}}
         assert bench_kernel._committed_speedup(legacy, "event") == 2.0
-        assert bench_kernel._committed_speedup(legacy, "adaptive") is None
+        assert bench_kernel._committed_speedup(legacy, "tick") is None
 
     def test_missing_entry(self):
         assert bench_kernel._committed_speedup(None, "event") is None

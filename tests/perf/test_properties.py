@@ -11,13 +11,11 @@ checked against the paper's §2.2 rules reconstructed *from the trace*:
   stalling really had a free slot at its acceptance instant;
 * **gap rule** — a processor's consecutive submissions (and
   acquisitions) are at least ``G`` apart;
-* **kernel equivalence** — all three kernels (``event``, ``tick``,
-  ``adaptive``) drive bit-identical executions on every generated
-  program;
+* **kernel equivalence** — both kernels (``event``, ``tick``) drive
+  bit-identical executions on every generated program;
 * **density sweep** — programs parameterized by event density, from
   skip-ahead-friendly sparse phases to a saturated clock, stay
-  kernel-equivalent, and the adaptive kernel's counters record the
-  mode switch when the density EWMA crosses its threshold.
+  kernel-equivalent.
 
 The CI profile (``HYPOTHESIS_PROFILE=ci``, registered in
 ``tests/conftest.py``) is derandomized so failures reproduce exactly.
@@ -221,7 +219,7 @@ def test_kernels_bit_identical(params, steps):
 
 
 # --------------------------------------------------------------------------
-# Density sweep: sparse -> saturated programs under the adaptive kernel.
+# Density sweep: sparse -> saturated programs under both kernels.
 #
 # Compute/WaitUntil resolve *inline* (they only move the local clock, no
 # queue traffic), so event density is driven with network instructions.
@@ -265,8 +263,7 @@ def density_profiles(draw):
 @given(params=logp_params(), profile=density_profiles())
 @settings(max_examples=25)
 def test_density_sweep_kernels_equivalent(params, profile):
-    """Across the whole density range, the three kernels stay
-    bit-identical and the adaptive counters stay self-consistent."""
+    """Across the whole density range, the kernels stay bit-identical."""
     sparse_len, dense_len, gap_extra = profile
     gap = 4 * params.p + gap_extra
     programs = build_density_programs(params.p, sparse_len, dense_len, gap)
@@ -274,31 +271,6 @@ def test_density_sweep_kernels_equivalent(params, profile):
     base = uid_free_projection(runs["event"])
     for kernel in KERNELS[1:]:
         assert uid_free_projection(runs[kernel]) == base, kernel
-    ada = runs["adaptive"].kernel
-    assert ada.kernel == "adaptive"
-    # Sampling hibernation may skip provably mode-preserving batches
-    # (deep-sparse singletons), so sampled <= total; the first batch of
-    # a run is always sampled.
-    assert 0 < ada.density_samples <= ada.batches
-    assert 0 <= ada.dense_batches <= ada.batches
-    assert ada.sparse_batches == ada.batches - ada.dense_batches
-
-
-@given(
-    params=logp_params(),
-    dense_len=st.integers(10, 16),
-    gap_extra=st.integers(0, 5),
-)
-@settings(max_examples=25)
-def test_density_crossing_records_mode_switch(params, dense_len, gap_extra):
-    """A poll tail saturates the clock: the EWMA crosses the enter
-    threshold, the switch is recorded, and the run ends dense."""
-    gap = 4 * params.p + gap_extra
-    programs = build_density_programs(params.p, 2, dense_len, gap)
-    k = run_traced(params, programs, kernel="adaptive").kernel
-    assert k.mode_switches >= 1
-    assert k.dense_batches >= 1
-    assert k.density >= 1.0  # the tail saturates the clock for good
 
 
 @given(
@@ -308,15 +280,13 @@ def test_density_crossing_records_mode_switch(params, dense_len, gap_extra):
     n_dense=st.integers(6, 12),
 )
 @settings(max_examples=50)
-def test_queue_density_sweep_estimator_modes(gap, dense_b, n_sparse, n_dense):
+def test_queue_density_sweep_kernels_agree(gap, dense_b, n_sparse, n_dense):
     """The full sweep at the queue layer, where the schedule is exact:
-    singleton events ``gap`` ticks apart keep the estimator sparse, a
-    plateau of ``dense_b``-event batches on consecutive ticks flips it
-    dense (one recorded switch), and returning to the sparse schedule
-    decays the EWMA back through the exit threshold.  All three queues
-    must agree on every pop along the way."""
+    singleton events ``gap`` ticks apart (which the indexed queue skips
+    across), a plateau of ``dense_b``-event batches on consecutive
+    ticks, and the sparse schedule again.  Both queues must agree on
+    every pop along the way."""
     queues = {k: make_event_queue(k, 4) for k in KERNELS}
-    ada = queues["adaptive"]
 
     def push_all(t: int, n: int) -> None:
         for i in range(n):
@@ -330,39 +300,29 @@ def test_queue_density_sweep_estimator_modes(gap, dense_b, n_sparse, n_dense):
             if popped["event"] is None:
                 return
 
-    # Sparse ramp: singletons ``gap`` apart.  First event at t=gap so
-    # even the first sample (gap measured from t=-1) is sub-threshold.
+    # Sparse ramp: singletons ``gap`` apart.
     t = 0
     for _ in range(n_sparse):
         t += gap
         push_all(t, 1)
     drain_and_compare()
-    assert not ada.estimator.dense
-    assert ada.counters.mode_switches == 0
-    assert ada.counters.dense_batches == 0
-    assert ada.counters.ticks_skipped > 0
+    assert queues["event"].counters.ticks_skipped > 0
     # Saturated plateau: dense_b events on every consecutive tick.
     for _ in range(n_dense):
         t += 1
         push_all(t, dense_b)
     drain_and_compare()
-    assert ada.estimator.dense
-    assert ada.counters.mode_switches == 1
-    assert ada.counters.dense_batches >= 1
-    assert ada.estimator.value >= 1.0
-    # Back to sparse: the EWMA decays through the exit threshold.
+    # Back to sparse.
     for _ in range(n_sparse):
         t += gap
         push_all(t, 1)
     drain_and_compare()
-    assert not ada.estimator.dense
-    assert ada.counters.mode_switches == 2
 
 
 #: Interleaved queue operations: ("push", dt, kind, pid) pushes at
 #: ``last_popped_time + dt`` (dt=0 after a drained batch is the
-#: quiescence-rewind hazard the adaptive probe must suspend on);
-#: ("pop",) pops one event from every queue and compares.
+#: quiescence-rewind case); ("pop",) pops one event from every queue
+#: and compares.
 queue_ops = st.lists(
     st.one_of(
         st.tuples(
@@ -381,7 +341,7 @@ queue_ops = st.lists(
 @settings(max_examples=50)
 def test_event_queues_agree_under_interleaved_ops(ops):
     """The raw ordering contract: identical push/pop interleavings give
-    identical pop sequences on all three queues, including same-time
+    identical pop sequences on both queues, including same-time
     mid-batch pushes and at-current-time re-seeds after a drain."""
     queues = {k: make_event_queue(k, 8) for k in KERNELS}
     now = 0

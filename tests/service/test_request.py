@@ -17,7 +17,7 @@ from repro.errors import ParameterError, ProgramError
 class TestSchema:
     def test_roundtrips_through_json(self):
         req = RunRequest(chain="bsp-on-logp-on-network", p=8,
-                         params={"L": 16, "g": 4}, seed=3, kernel="adaptive")
+                         params={"L": 16, "g": 4}, seed=3, kernel="tick")
         doc = json.loads(json.dumps(req.to_dict()))
         assert RunRequest.from_dict(doc) == req
 
@@ -38,6 +38,14 @@ class TestSchema:
             RunRequest(chain="bsp-on-logp", kernel="warp")
         with pytest.raises(ParameterError, match="params key 'x'"):
             RunRequest(chain="bsp", params={"x": 1})
+
+    @pytest.mark.parametrize("chain", ["bsp-on-logp", "bsp-on-network"])
+    @pytest.mark.parametrize("kernel", ["superstep", "adaptive"])
+    def test_unselectable_kernel_rejected_at_coerce(self, kernel, chain):
+        """The BSP machine's counter label and the retired kernel name
+        fail with a labelled error at coerce, not later at run time."""
+        with pytest.raises(ParameterError, match=f"kernel '{kernel}' unknown"):
+            RunRequest.coerce({"chain": chain, "kernel": kernel})
 
     def test_chain_spelling_normalized(self):
         assert RunRequest(chain="BSP_on_LogP").chain == "bsp-on-logp"
@@ -61,7 +69,7 @@ class TestSchema:
 
 class TestStackRoundTrip:
     def test_from_request_runs_and_to_request_roundtrips(self):
-        req = RunRequest(chain="bsp-on-logp", p=4, kernel="adaptive")
+        req = RunRequest(chain="bsp-on-logp", p=4, kernel="tick")
         stack = Stack.from_request(req)
         assert stack.to_request() == req
         result = stack.run()
