@@ -25,9 +25,10 @@ bench-kernel:
 	PYTHONPATH=src python benchmarks/bench_kernel.py --quick --check --obs-check
 
 # Campaign runner end to end (see docs/CAMPAIGN.md): run the Theorem-1
-# grid on 2 workers, kill it after 8 points, resume from the store, and
-# gate the residual fits against the committed baseline.  The resumed
-# run must report the first 8 points as cached.
+# grid (logp-on-bsp RunRequest points on the request target) on 2
+# workers, kill it after 8 points, resume from the store, and gate the
+# residual fits against the committed baseline.  The resumed run must
+# report the first 8 points as cached.
 campaign-smoke:
 	PYTHONPATH=src python -m repro.experiments campaign th1-grid \
 		--store campaigns/th1-grid --parallel 2 --force --stop-after 8
@@ -81,11 +82,12 @@ trace-demo:
 faults:
 	FAULT_BENCH_SMOKE=1 PYTHONPATH=src pytest benchmarks/bench_fault_resilience.py -q
 
+# Every paper table (T1, TH1, P1, TH2, TH3, ST, OB1, WP), a few seconds.
 experiments:
-	python -m repro.experiments run all
+	PYTHONPATH=src python -m repro.experiments run all
 
 examples:
-	for ex in examples/*.py; do echo "== $$ex =="; python $$ex || exit 1; done
+	for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src python $$ex || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results campaigns build *.egg-info dist-smoke.out workloads-smoke.json

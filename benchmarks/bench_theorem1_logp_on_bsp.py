@@ -2,18 +2,22 @@
 
 Regenerates the theorem's quantitative content as a **campaign**: the
 (kernel, g/G, l/L) grid is a declarative
-:class:`~repro.campaign.CampaignSpec` run through
+:class:`~repro.campaign.CampaignSpec` of ``request`` points — each a
+``logp-on-bsp`` :class:`~repro.engine.request.RunRequest` — run through
 :func:`~repro.campaign.run_campaign` (worker pool + content-addressed
 result store), and every assertion below consumes the JSON records the
-campaign target emitted — the same records ``python -m repro.experiments
-campaign th1-grid`` caches on disk.  The claims: across the grid the
+``request`` target emitted — the same records ``python -m
+repro.experiments campaign th1-grid`` caches on disk.  The claims: across the grid the
 measured slowdown of the cycle simulation tracks ``O(1 + g/G + l/L)``
 and per-cycle h-relations stay within the capacity ``ceil(L/G)``.
 """
 
+import itertools
+
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign, run_point
+from repro.campaign import run_campaign, run_point
+from repro.campaign.builtin import theorem1_spec
 from repro.models.params import LogPParams
 from repro.util.tables import render_table
 
@@ -21,11 +25,10 @@ LOGP = LogPParams(p=16, L=8, o=1, G=2)
 KERNELS = ("ring", "sum", "alltoall")
 SCALES = (1, 4, 8)
 
-SPEC = CampaignSpec(
-    name="bench-theorem1",
-    target="theorem1",
-    grid=(("kernel", KERNELS), ("gs", SCALES), ("ls", SCALES)),
-    base={"p": LOGP.p, "L": LOGP.L, "o": LOGP.o, "G": LOGP.G},
+SPEC = theorem1_spec(
+    "bench-theorem1",
+    KERNELS,
+    itertools.product(SCALES, SCALES),
     description="Theorem 1 slowdown grid: LogP kernels on scaled BSP hosts",
 )
 
@@ -43,13 +46,14 @@ def sweep(tmp_path_factory):
     out = {}
     for point, rec in zip(SPEC.points(), records):
         assert rec["outputs_match"], point
-        out[(point["kernel"], point["gs"], point["ls"])] = rec
+        params = point["params"]
+        out[(point["program"], params["g"] // LOGP.G, params["l"] // LOGP.L)] = rec
     return out
 
 
 def test_theorem1_report(sweep, publish, publish_json, benchmark):
     benchmark.pedantic(
-        lambda: run_point("theorem1", {**dict(SPEC.base), "kernel": "sum"}),
+        lambda: run_point(SPEC.target, SPEC.points()[0]),
         rounds=1,
         iterations=1,
     )
@@ -58,11 +62,11 @@ def test_theorem1_report(sweep, publish, publish_json, benchmark):
         rows.append(
             (
                 kname,
-                f"g={rec['g']}",
-                f"l={rec['l']}",
+                f"g={LOGP.G * gs}",
+                f"l={LOGP.L * ls}",
                 rec["windows"],
                 rec["max_window_h"],
-                rec["capacity"],
+                LOGP.capacity,
                 f"{rec['slowdown']:.2f}",
                 f"{rec['predicted_slowdown']:.2f}",
             )

@@ -8,21 +8,48 @@ than re-looping, so a sweep's definition lives in exactly one place.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.campaign.spec import CampaignSpec
 
-__all__ = ["CAMPAIGNS", "SAMPLE_SORT_GRID", "SORTING_REGIMES"]
+__all__ = ["CAMPAIGNS", "SAMPLE_SORT_GRID", "SORTING_REGIMES", "theorem1_spec"]
+
+
+def theorem1_spec(
+    name: str, programs, scales, *, description: str = ""
+) -> CampaignSpec:
+    """Theorem 1 as ``request`` points: each LogP program in ``programs``
+    on the LogP(p=16, L=8, o=1, G=2) guest, simulated on a BSP host with
+    ``g = gs*G`` and ``l = ls*L`` for each ``(gs, ls)`` in ``scales``.
+
+    The grid crosses a ``program`` axis with one ``params`` axis of
+    model dicts, so every point is a plain ``logp-on-bsp``
+    :class:`~repro.engine.request.RunRequest` document."""
+    L, o, G = 8, 1, 2
+    return CampaignSpec(
+        name=name,
+        target="request",
+        grid=(
+            ("program", tuple(programs)),
+            (
+                "params",
+                tuple(
+                    {"L": L, "o": o, "G": G, "g": G * gs, "l": L * ls}
+                    for gs, ls in scales
+                ),
+            ),
+        ),
+        base=(("chain", "logp-on-bsp"), ("p", 16)),
+        description=description,
+    )
+
 
 #: Theorem 1 across BSP machines: 3 kernels x 4 gap scalings x 2 latency
 #: scalings = 24 points on the LogP(p=16, L=8, o=1, G=2) guest.
-TH1_GRID = CampaignSpec(
-    name="th1-grid",
-    target="theorem1",
-    grid=(
-        ("kernel", ("sum", "ring", "alltoall")),
-        ("gs", (1, 2, 4, 8)),
-        ("ls", (1, 4)),
-    ),
-    base=(("p", 16), ("L", 8), ("o", 1), ("G", 2)),
+TH1_GRID = theorem1_spec(
+    "th1-grid",
+    ("sum", "ring", "alltoall"),
+    itertools.product((1, 2, 4, 8), (1, 4)),
     description="Theorem 1: LogP-on-BSP slowdown across g/l scalings (24 points)",
 )
 
@@ -54,15 +81,10 @@ CB_GRID = CampaignSpec(
 )
 
 #: CI smoke: the Theorem 1 grid trimmed to seconds of work.
-TH1_SMOKE = CampaignSpec(
-    name="th1-smoke",
-    target="theorem1",
-    grid=(
-        ("kernel", ("sum", "alltoall")),
-        ("gs", (1, 4)),
-        ("ls", (1, 4)),
-    ),
-    base=(("p", 16), ("L", 8), ("o", 1), ("G", 2)),
+TH1_SMOKE = theorem1_spec(
+    "th1-smoke",
+    ("sum", "alltoall"),
+    itertools.product((1, 4), (1, 4)),
     description="Theorem 1 smoke grid for CI (8 points)",
 )
 

@@ -29,6 +29,7 @@ from repro.campaign.fingerprint import code_fingerprint
 from repro.campaign.pool import run_pool
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
+from repro.campaign.targets import resolve_target
 
 __all__ = ["CampaignReport", "run_campaign", "default_store_dir"]
 
@@ -153,6 +154,7 @@ def run_campaign(
       metrics into;
     * ``progress`` — optional ``callable(str)`` for one-line updates.
     """
+    resolve_target(spec.target)  # an unknown target fails before the store opens
     say = progress or (lambda _msg: None)
     fp = fingerprint if fingerprint is not None else code_fingerprint()
     items = spec.items(fp)

@@ -8,19 +8,16 @@ where a closed form exists, a ``cost_check`` block in the
 regression gate (:mod:`repro.campaign.gate`) can fit and compare
 residuals without re-running anything.
 
-Three addressing forms resolve through :func:`resolve_target`:
-
-* a bare id from :data:`TARGETS` (``"theorem1"``, ``"theorem2"``,
-  ``"cb"``, ``"demo"``, ``"dist"``, ``"request"``) — the builtins plus
-  anything registered through :func:`register_target`;
-* ``"experiment:TH1"`` — run that CLI experiment's whole table per
-  point (the point's parameters are ignored beyond the seed);
-* ``"chain:bsp-on-logp-on-network"`` — run the named Stack chain on the
-  demo programs, ``p``/``topology`` drawn from the point.
+Targets are addressed by bare id from :data:`TARGETS`: ``request``
+(any Stack run, named as a :class:`~repro.engine.request.RunRequest`
+document), ``workload``, ``theorem2``, ``cb``, ``demo`` and ``dist`` —
+the builtins — plus anything registered through
+:func:`register_target`.  ``theorem2`` and ``cb`` measure the Section 4
+protocols directly rather than running a Stack chain.
 
 :func:`register_target` is the public extension point: register a
-callable under a bare id and any :class:`~repro.campaign.spec.
-CampaignSpec` (or the service) can address it by name.  One caveat for
+callable under an id and any :class:`~repro.campaign.spec.CampaignSpec`
+(or the service) can address it by name.  One caveat for
 user-registered targets: campaign *worker processes* import this module
 fresh, so a target registered only in the parent is visible to the
 serial path (``workers<=1``) and the service, not to process workers —
@@ -39,9 +36,8 @@ from repro.errors import ParameterError
 
 __all__ = ["TARGETS", "register_target", "resolve_target", "run_point"]
 
-#: Bare target ids -> runner callables.  Builtins self-register below
-#: via :func:`register_target`; ``experiment:<ID>`` and ``chain:<spec>``
-#: are resolved dynamically by :func:`resolve_target`.
+#: Target ids -> runner callables.  Builtins self-register below via
+#: :func:`register_target`.
 TARGETS: dict[str, Callable[[dict], dict]] = {}
 
 
@@ -65,9 +61,7 @@ def register_target(
 
     Usable directly (``register_target("square", square)``) or as a
     decorator, returning ``fn`` unchanged either way.  Names must be
-    non-empty and must not contain ``":"`` — the colon namespace is
-    reserved for the dynamic ``experiment:<ID>`` / ``chain:<spec>``
-    forms.  Registering an already-taken name raises
+    non-empty strings.  Registering an already-taken name raises
     :class:`~repro.errors.ParameterError` unless ``replace=True``.
     """
     if fn is None:
@@ -75,11 +69,6 @@ def register_target(
     if not isinstance(name, str) or not name.strip():
         raise ParameterError(
             f"target name must be a non-empty string, got {name!r}"
-        )
-    if ":" in name:
-        raise ParameterError(
-            f"target name {name!r} may not contain ':' (reserved for the "
-            f"experiment:<ID> and chain:<spec> forms)"
         )
     if not callable(fn):
         raise ParameterError(
@@ -103,48 +92,6 @@ def _logp_params(point: dict):
         o=int(point.get("o", 1)),
         G=int(point.get("G", 2)),
     )
-
-
-def _target_theorem1(point: dict, obs=None) -> dict:
-    """One Theorem-1 run: LogP kernel on a BSP machine with ``g = gs*G``,
-    ``l = ls*L``; the record is the shared ``as_row`` projection plus
-    the grid coordinates and the full cost-check block."""
-    from repro.core.logp_on_bsp import simulate_logp_on_bsp
-    from repro.models.params import BSPParams
-    from repro.obs import CostModelCheck
-    from repro.programs import (
-        logp_alltoall_program,
-        logp_broadcast_program,
-        logp_ring_program,
-        logp_sum_program,
-    )
-
-    kernels = {
-        "sum": logp_sum_program,
-        "ring": logp_ring_program,
-        "alltoall": logp_alltoall_program,
-        "broadcast": logp_broadcast_program,
-    }
-    kernel = str(point.get("kernel", "alltoall"))
-    if kernel not in kernels:
-        raise ParameterError(f"theorem1: unknown kernel {kernel!r}")
-    logp = _logp_params(point)
-    bsp = BSPParams(
-        p=logp.p,
-        g=logp.G * int(point.get("gs", 1)),
-        l=logp.L * int(point.get("ls", 1)),
-    )
-    rep = simulate_logp_on_bsp(logp, kernels[kernel](), bsp_params=bsp, obs=obs)
-    check = CostModelCheck.check(rep)
-    return {
-        "kernel": kernel,
-        "p": logp.p,
-        "g": bsp.g,
-        "l": bsp.l,
-        "capacity": logp.capacity,
-        **rep.as_row(),
-        "cost_check": check.as_dict(),
-    }
 
 
 def _target_theorem2(point: dict, obs=None) -> dict:
@@ -232,37 +179,28 @@ def _target_dist(point: dict, obs=None) -> dict:
     """One real-process socket run (:mod:`repro.dist`), audited.
 
     Point keys: ``program`` (ring/alltoall/pingpong/flood), ``p``,
-    ``rounds``, ``seed``, wire-fault rates ``drop``/``dup``/``delay``
-    (plus ``max_extra_delay``), and ``kill`` as a ``"pid:superstep"``
-    string.  The record keeps only the *deterministic* outcome — final
-    states, reference match, audit verdict — never wall-clock or retry
-    counts, so cached reruns stay bit-identical even though the wire
-    timing differs run to run.
+    ``rounds``, ``seed``, and the wire faults of
+    :func:`~repro.dist.injector.wire_fault_plan` — rates ``drop``/
+    ``dup``/``delay`` (plus ``max_extra_delay``) and ``kill`` as a
+    ``"pid:superstep"`` string; any other key is rejected.  The record
+    keeps only the *deterministic* outcome — final states, reference
+    match, audit verdict — never wall-clock or retry counts, so cached
+    reruns stay bit-identical even though the wire timing differs run
+    to run.
     """
     import tempfile
 
-    from repro.dist import run_dist, run_reference
-    from repro.faults.plan import FaultPlan
+    from repro.dist import run_dist, run_reference, wire_fault_plan
 
     program = str(point.get("program", "ring"))
     p = int(point.get("p", 2))
     rounds = int(point.get("rounds", 3))
     seed = int(point.get("seed", 0))
-    rates = {
-        "drop_rate": float(point.get("drop", 0.0)),
-        "dup_rate": float(point.get("dup", 0.0)),
-        "delay_rate": float(point.get("delay", 0.0)),
-    }
-    if rates["delay_rate"]:
-        rates["max_extra_delay"] = int(point.get("max_extra_delay", 5))
-    crash = None
     kill = str(point.get("kill", "") or "")
-    if kill:
-        pid_s, _, s_s = kill.partition(":")
-        crash = {int(pid_s): int(s_s)}
-    plan = None
-    if crash or any(rates.values()):
-        plan = FaultPlan(seed=seed, crash=crash, **rates)
+    faults = {
+        k: v for k, v in point.items() if k not in ("program", "p", "rounds", "seed")
+    }
+    plan = wire_fault_plan(faults, seed=seed)
     log_dir = tempfile.mkdtemp(prefix="repro-dist-pt-")
     kwargs = {"rounds": rounds}
     result = run_dist(program, p, kwargs=kwargs, plan=plan, log_dir=log_dir)
@@ -280,19 +218,6 @@ def _target_dist(point: dict, obs=None) -> dict:
         "audit_clean": report["clean"],
         "violations": report["protocol_violations"] + report["model_violations"],
     }
-
-
-def _target_experiment(exp_id: str) -> Callable[[dict], dict]:
-    def run(point: dict, obs=None) -> dict:
-        from repro.experiments import EXPERIMENTS
-
-        entry = EXPERIMENTS.get(exp_id)
-        if entry is None:
-            raise ParameterError(f"experiment:{exp_id}: unknown experiment id")
-        table = entry[1](obs=obs)
-        return table.as_json()
-
-    return run
 
 
 def _target_request(point: dict, obs=None) -> dict:
@@ -367,32 +292,6 @@ def _target_workload(point: dict, obs=None) -> dict:
     return {**base, **record}
 
 
-def _target_chain(chain: str) -> Callable[[dict], dict]:
-    def run(point: dict, obs=None) -> dict:
-        from repro.engine.request import DEFAULT_TOPOLOGY, RunRequest
-        from repro.obs import CostModelCheck
-
-        req = RunRequest(
-            chain=chain,
-            p=int(point.get("p", 8)),
-            topology=str(point.get("topology", DEFAULT_TOPOLOGY)),
-            seed=int(point.get("seed", 0)),
-        )
-        from repro.engine.stack import Stack
-
-        stack = Stack.from_request(req)
-        result = stack.run(obs=obs)
-        record = {"chain": stack.describe(), **result.as_row()}
-        try:
-            record["cost_check"] = CostModelCheck.check(result).as_dict()
-        except TypeError:
-            pass
-        return record
-
-    return run
-
-
-register_target("theorem1", _target_theorem1)
 register_target("theorem2", _target_theorem2)
 register_target("cb", _target_cb)
 register_target("demo", _target_demo)
@@ -403,17 +302,12 @@ register_target("workload", _target_workload)
 
 def resolve_target(name: str) -> Callable[[dict], dict]:
     """Resolve a spec's ``target`` string to its runner callable."""
-    if name.startswith("experiment:"):
-        return _target_experiment(name.split(":", 1)[1])
-    if name.startswith("chain:"):
-        return _target_chain(name.split(":", 1)[1])
     fn = TARGETS.get(name)
     if fn is None:
         known = ", ".join(sorted(TARGETS))
         raise ParameterError(
-            f"unknown campaign target {name!r} (known: {known}, "
-            f"experiment:<ID>, chain:<spec>; register your own with "
-            f"repro.campaign.register_target)"
+            f"unknown campaign target {name!r} (known: {known}; register "
+            f"your own with repro.campaign.register_target)"
         )
     return fn
 

@@ -8,115 +8,12 @@
 * :mod:`repro.core.stalling` — Sections 2/3 stalling analysis,
 * :mod:`repro.core.network_support` — Section 5 / Observation 1.
 
-The package-level entry points below are **deprecated** in favour of the
-:class:`~repro.engine.stack.Stack` API (``repro.Stack``), which names
-the same compositions declaratively::
+The public entry point is the :class:`~repro.engine.stack.Stack` API
+(``repro.Stack``), which names the compositions declaratively::
 
     Stack(prog).on_logp(params).run()                    # Theorem 2/3
     Stack(prog, model="logp", params=P).on_bsp().run()   # Theorem 1
 
-They remain as thin wrappers that emit :class:`DeprecationWarning` both
-at *import/access* time (``from repro.core import simulate_bsp_on_logp``
-warns via module ``__getattr__``) and at call time, and delegate to the
-engine-backed drivers — a wrapped call and the equivalent stacked run
-are the same computation.  The submodule functions
-(``repro.core.bsp_on_logp.simulate_bsp_on_logp`` etc.) stay
-undeprecated: they are the drivers the Stack adapters themselves use.
+The submodule functions (``repro.core.bsp_on_logp.simulate_bsp_on_logp``
+etc.) are the drivers the Stack adapters call.
 """
-
-import warnings
-
-__all__ = [
-    "simulate_logp_on_bsp",
-    "simulate_logp_on_bsp_workpreserving",
-    "simulate_bsp_on_logp",
-]
-
-
-def _deprecated(legacy: str, stack_chain: str, *, stacklevel: int = 3) -> None:
-    warnings.warn(
-        f"repro.core.{legacy}() is deprecated; use the Stack API: "
-        f"{stack_chain}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _wrap_simulate_logp_on_bsp(logp_params, program, **kwargs):
-    """Deprecated wrapper for :func:`repro.core.logp_on_bsp.simulate_logp_on_bsp`.
-
-    Prefer ``Stack(program, model="logp", params=logp_params).on_bsp().run()``.
-    """
-    from repro.core.logp_on_bsp import simulate_logp_on_bsp as _impl
-
-    _deprecated(
-        "simulate_logp_on_bsp",
-        _STACK_CHAIN["simulate_logp_on_bsp"],
-    )
-    return _impl(logp_params, program, **kwargs)
-
-
-def _wrap_simulate_logp_on_bsp_workpreserving(logp_params, program, bsp_p, **kwargs):
-    """Deprecated wrapper for
-    :func:`repro.core.logp_on_bsp.simulate_logp_on_bsp_workpreserving`.
-
-    Prefer ``Stack(program, model="logp", params=logp_params)
-    .on_bsp(p=bsp_p).run()``.
-    """
-    from repro.core.logp_on_bsp import (
-        simulate_logp_on_bsp_workpreserving as _impl,
-    )
-
-    _deprecated(
-        "simulate_logp_on_bsp_workpreserving",
-        _STACK_CHAIN["simulate_logp_on_bsp_workpreserving"],
-    )
-    return _impl(logp_params, program, bsp_p, **kwargs)
-
-
-def _wrap_simulate_bsp_on_logp(logp_params, program, **kwargs):
-    """Deprecated wrapper for :func:`repro.core.bsp_on_logp.simulate_bsp_on_logp`.
-
-    Prefer ``Stack(program).on_logp(logp_params).run()``.
-    """
-    from repro.core.bsp_on_logp import simulate_bsp_on_logp as _impl
-
-    _deprecated(
-        "simulate_bsp_on_logp",
-        _STACK_CHAIN["simulate_bsp_on_logp"],
-    )
-    return _impl(logp_params, program, **kwargs)
-
-
-#: Legacy name -> the exact Stack chain that replaces it (the text both
-#: the access-time and call-time warnings carry).
-_STACK_CHAIN = {
-    "simulate_logp_on_bsp":
-        "Stack(program, model='logp', params=logp_params).on_bsp().run()",
-    "simulate_logp_on_bsp_workpreserving":
-        "Stack(program, model='logp', params=logp_params).on_bsp(p=bsp_p).run()",
-    "simulate_bsp_on_logp":
-        "Stack(program).on_logp(logp_params).run()",
-}
-
-_WRAPPERS = {
-    "simulate_logp_on_bsp": _wrap_simulate_logp_on_bsp,
-    "simulate_logp_on_bsp_workpreserving":
-        _wrap_simulate_logp_on_bsp_workpreserving,
-    "simulate_bsp_on_logp": _wrap_simulate_bsp_on_logp,
-}
-
-
-def __getattr__(name: str):
-    """Access-time deprecation: ``from repro.core import simulate_*``
-    (or ``repro.core.simulate_*``) warns before the call even happens,
-    so a migration shows up as soon as the legacy name is touched."""
-    wrapper = _WRAPPERS.get(name)
-    if wrapper is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _deprecated(name, _STACK_CHAIN[name], stacklevel=2)
-    return wrapper
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_WRAPPERS))

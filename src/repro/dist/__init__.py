@@ -34,7 +34,7 @@ from repro.dist.channel import ChannelClosed, ChannelStats, ReliableChannel
 from repro.dist.clock import LamportClock
 from repro.dist.eventlog import EventLogWriter, merge_logs, read_log
 from repro.dist.frames import FrameReader, encode_frame
-from repro.dist.injector import WireFaults, preview_fates
+from repro.dist.injector import WireFaults, preview_fates, wire_fault_plan
 from repro.dist.params import DistParams
 from repro.dist.programs import DIST_PROGRAMS, DistContext, make_program, run_reference
 from repro.dist.supervisor import DistResult, Supervisor, run_dist
@@ -49,6 +49,7 @@ __all__ = [
     "ChannelClosed",
     "WireFaults",
     "preview_fates",
+    "wire_fault_plan",
     "EventLogWriter",
     "read_log",
     "merge_logs",

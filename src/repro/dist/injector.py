@@ -28,11 +28,54 @@ thing the supervisor must recover from.
 from __future__ import annotations
 
 import threading
+from typing import Mapping
 
+from repro.errors import ParameterError
 from repro.faults.plan import ActiveFaults, FaultPlan, MessageFate
 from repro.models.message import Message
+from repro.models.params import as_int
 
-__all__ = ["WireFaults", "preview_fates"]
+__all__ = ["WIRE_FAULT_KEYS", "WireFaults", "preview_fates", "wire_fault_plan"]
+
+#: The fault keys a real-process run accepts: the three rates the wire
+#: injector applies, the delay bound, and ``kill`` crash directives.
+WIRE_FAULT_KEYS = ("drop", "dup", "delay", "max_extra_delay", "kill")
+
+
+def wire_fault_plan(faults: Mapping, seed: int = 0) -> FaultPlan | None:
+    """The :class:`FaultPlan` for one real-process run, or ``None``.
+
+    ``faults`` maps :data:`WIRE_FAULT_KEYS` to values: ``drop``/``dup``/
+    ``delay`` are per-transmission rates, ``max_extra_delay`` bounds a
+    delay (5 when a delay rate is set without it), and ``kill`` is one
+    ``"PID:SUPERSTEP"`` string or a list of them.  Any other key — a
+    rate the injector would never apply, such as ``reorder`` — raises
+    :class:`~repro.errors.ParameterError`, as does a malformed value.
+    """
+    unknown = sorted(set(faults) - set(WIRE_FAULT_KEYS))
+    if unknown:
+        raise ParameterError(
+            f"unknown wire fault(s) {unknown} (known: {', '.join(WIRE_FAULT_KEYS)})"
+        )
+    rates = {}
+    for key in ("drop", "dup", "delay"):
+        value = faults.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParameterError(f"wire fault {key} must be a rate, got {value!r}")
+        rates[f"{key}_rate"] = float(value)
+    bound = as_int("wire fault max_extra_delay", faults.get("max_extra_delay", 5))
+    if rates["delay_rate"]:
+        rates["max_extra_delay"] = bound
+    kills = faults.get("kill") or ()
+    crash = {}
+    for kill in [kills] if isinstance(kills, str) else kills:
+        pid, colon, step = str(kill).partition(":")
+        if not (colon and pid.isdigit() and step.isdigit()):
+            raise ParameterError(f"kill expects PID:SUPERSTEP, got {kill!r}")
+        crash[int(pid)] = int(step)
+    if not crash and not any(rates.values()):
+        return None
+    return FaultPlan(seed=seed, crash=crash or None, **rates)
 
 
 class WireFaults:

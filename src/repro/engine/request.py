@@ -1,9 +1,7 @@
 """The versioned run-request schema: one public entry point for chains.
 
-Before this module, three call sites each assembled Stack chains from
-ad-hoc keyword arguments: the CLI's ``inspect`` subcommand, the campaign
-``chain:`` target, and anything scripting :class:`~repro.engine.stack.
-Stack` by hand.  :class:`RunRequest` replaces those with a single
+Every campaign point, CLI subcommand and service request that names a
+Stack run names it as a :class:`RunRequest`: a single
 JSON-serializable schema — chain spec, named program, processor count,
 topology, parameter overrides, seed, kernel, obs flags — so a request
 can cross a socket, live in a campaign grid point, or be cached under a
@@ -21,7 +19,9 @@ request may name a :mod:`repro.workloads` registry entry (with its
 program parameters in ``args``) instead of a fixed demo program, so any
 registered workload is resolvable by the service, the campaign
 ``request`` target, and the CLI through the same path.  Version-1
-documents remain readable (they simply have no workload).  ``RunRequest.key(fingerprint)`` is the request's
+documents remain readable (they simply have no workload).  Integer
+fields and values take ints only: a float, string or bool is rejected,
+never truncated.  ``RunRequest.key(fingerprint)`` is the request's
 content-addressed cache identity — the same
 :func:`~repro.campaign.spec.point_key` machinery campaign points use, so
 the campaign cache and the service cache (:mod:`repro.service`) are one
@@ -33,10 +33,11 @@ costs nothing until a request is actually built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ParameterError, ProgramError
+from repro.models.params import as_int
 
 __all__ = [
     "REQUEST_VERSION",
@@ -132,7 +133,7 @@ def _freeze_params(params) -> tuple[tuple[str, int], ...]:
                 f"RunRequest params key {name!r} not supported "
                 f"(known: {', '.join(PARAM_KEYS)})"
             )
-        out.append((name, int(value)))
+        out.append((name, as_int(f"RunRequest params {name}", value)))
     return tuple(sorted(out))
 
 
@@ -149,7 +150,7 @@ def _freeze_args(args) -> tuple[tuple[str, int], ...]:
                 f"RunRequest args key {name!r} not allowed (p and seed are "
                 f"top-level request fields)"
             )
-        out.append((name, int(value)))
+        out.append((name, as_int(f"RunRequest args {name}", value)))
     return tuple(sorted(out))
 
 
@@ -221,10 +222,15 @@ class RunRequest:
         object.__setattr__(self, "args", _freeze_args(self.args))
         if self.workload is not None:
             object.__setattr__(self, "workload", str(self.workload))
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "metrics", bool(self.metrics))
-        object.__setattr__(self, "version", int(self.version))
+        for name in ("p", "seed", "version"):
+            object.__setattr__(
+                self, name, as_int(f"RunRequest {name}", getattr(self, name))
+            )
+        if not isinstance(self.metrics, bool):
+            raise ParameterError(
+                f"RunRequest metrics must be a bool, got "
+                f"{type(self.metrics).__name__} {self.metrics!r}"
+            )
         if self.version < 1 or self.version > REQUEST_VERSION:
             raise ParameterError(
                 f"RunRequest version {self.version} is not supported by "
@@ -356,7 +362,7 @@ def build_stack(request: RunRequest | dict):
     """Construct the :class:`~repro.engine.stack.Stack` a request names.
 
     This is the one chain-assembly path behind ``Stack.from_request``,
-    the CLI's ``inspect``, the campaign ``chain:``/``request`` targets,
+    the CLI's ``inspect`` and ``request``, the campaign ``request`` target,
     and the service — the demo programs and default parameters are
     identical everywhere.
     """

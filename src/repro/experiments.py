@@ -4,8 +4,9 @@
 DESIGN.md's index) and the built-in campaign names; ``python -m
 repro.experiments run <id> [...]`` or ``run all`` prints the
 corresponding tables (``--parallel N`` shards the ids over worker
-processes).  ``python -m repro.experiments inspect <chain>`` runs a
-demo program through a named :class:`~repro.engine.stack.Stack` chain
+processes).  ``python -m repro.experiments inspect <chain>`` runs one
+:class:`~repro.engine.request.RunRequest` — named by the same flags as
+``request`` — through its :class:`~repro.engine.stack.Stack` chain
 (``bsp-on-logp-on-network``, ``logp-on-bsp``, ...) and prints its
 result row, cost-model residuals, and — with the shared observability
 flags — metrics and traces.  ``python -m repro.experiments campaign
@@ -26,6 +27,10 @@ Shared flags (``run`` and ``inspect``):
   (``run`` with several ids writes one file per id, the id spliced in
   before the extension).
 
+Input errors — a malformed ``K=V`` item, a request the schema rejects,
+an unknown name — end every subcommand the same way: one
+``<subcommand>: <message>`` line on stderr and exit status 2.
+
 The pytest benchmarks in ``benchmarks/`` run the same code with shape
 assertions and persistence; this runner is the zero-dependency way to
 eyeball results.
@@ -40,6 +45,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.errors import ParameterError, ProgramError, TopologyError
 from repro.perf.event_queue import KERNELS
 from repro.util.tables import render_table
 
@@ -111,26 +117,29 @@ def _exp_table1(obs=None) -> ExperimentTable:
 
 
 def _exp_theorem1(obs=None) -> ExperimentTable:
-    """Thin wrapper over the ``theorem1`` campaign target: the CLI table
-    and a :class:`~repro.campaign.CampaignSpec` sweep run the exact same
-    per-point code, so their records are interchangeable."""
-    from repro.campaign.targets import run_point
+    """Four Theorem-1 ``request`` points — the all-to-all kernel on the
+    matched and scaled BSP hosts — run through the same target and
+    spec builder as the ``th1-grid`` campaign, so the table's records
+    are that campaign's records."""
+    from repro.campaign import run_point
+    from repro.campaign.builtin import theorem1_spec
     from repro.obs.check import CostCheckReport
+    from repro.util.intmath import ceil_div
 
+    spec = theorem1_spec("TH1", ("alltoall",), ((1, 1), (4, 1), (1, 4), (4, 4)))
     rows = []
     records = []
     extras = []
-    for gs, ls in ((1, 1), (4, 1), (1, 4), (4, 4)):
-        point = {"kernel": "alltoall", "p": 16, "L": 8, "o": 1, "G": 2,
-                 "gs": gs, "ls": ls, "seed": 0}
-        rec = run_point("theorem1", point, obs=obs)
+    for point in spec.points():
+        rec = run_point(spec.target, point, obs=obs)
+        params = point["params"]
         check = CostCheckReport.from_dict(rec["cost_check"])
         rows.append(
             (
-                f"g={rec['g']}, l={rec['l']}",
+                f"g={params['g']}, l={params['l']}",
                 rec["windows"],
                 rec["max_window_h"],
-                rec["capacity"],
+                ceil_div(params["L"], params["G"]),
                 f"{rec['slowdown']:.2f}",
                 f"{rec['predicted_slowdown']:.2f}",
                 rec["outputs_match"],
@@ -320,54 +329,117 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentTable]]] = {
 }
 
 
-# -- inspect: run a demo program through a named Stack chain -------------
+# -- the CLI's one K=V reader and one RunRequest flag set ---------------
 
 
-def _parse_chain(spec: str) -> tuple[str, list[str]]:
-    """Back-compat alias for :func:`repro.engine.request.parse_chain`."""
-    from repro.engine.request import parse_chain
+def _value(text: str):
+    """The one value rule for ``K=V`` input: int, else float, else string."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
 
-    return parse_chain(spec)
+
+def _parse_kv(items: list[str] | None, flag: str, *, axes: bool = False) -> dict:
+    """Read the ``K=V`` items of ``--grid``, ``--base``, ``--param``,
+    ``--arg`` and ``--faults`` into a dict.
+
+    Each item holds comma-separated ``K=V`` pairs, except under ``axes``
+    (``--grid``), where an item is one ``AXIS=V1,V2,...`` and the value
+    is the tuple of its values.  A pair without ``=``, an empty key or
+    value, or a key given twice raises :class:`ParameterError`.
+    """
+    out: dict = {}
+    for item in items or ():
+        for pair in [item] if axes else item.split(","):
+            key, eq, text = pair.partition("=")
+            key = key.strip()
+            texts = text.split(",") if axes else [text]
+            if not (key and eq and all(t.strip() for t in texts)):
+                form = "AXIS=V1,V2,..." if axes else "K=V"
+                where = "" if pair == item else f" (in {item!r})"
+                raise ParameterError(f"{flag} expects {form}, got {pair!r}{where}")
+            if key in out:
+                raise ParameterError(f"{flag} gives {key!r} twice")
+            values = tuple(_value(t) for t in texts)
+            out[key] = values if axes else values[0]
+    return out
 
 
-def _build_inspect_stack(
-    guest: str, hosts: list[str], p: int, topology: str, kernel: str | None = None
-):
-    """Back-compat shim: the demo Stack for ``inspect``, now assembled
-    through the one shared :class:`~repro.engine.request.RunRequest`
-    path (same programs and parameters as before)."""
-    from repro.engine.request import RunRequest, build_stack
-
-    chain = guest if hosts == [guest] else "-on-".join([guest, *hosts])
-    return build_stack(
-        RunRequest(chain=chain, p=p, topology=topology, kernel=kernel)
+def _add_request_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags that name one RunRequest, shared by ``inspect`` and
+    ``request`` (:func:`_request_from_args` reads them back)."""
+    sub.add_argument(
+        "chain",
+        help="layer chain, guest first: bsp, logp, logp-on-bsp, "
+        "bsp-on-logp, bsp-on-network, logp-on-network, "
+        "bsp-on-logp-on-network, bsp-on-dist",
+    )
+    sub.add_argument(
+        "--program", default="default",
+        help="named guest program (default: the chain's demo program)",
+    )
+    sub.add_argument(
+        "--workload", default=None,
+        help="registered workload name (see 'workloads list'); mutually "
+        "exclusive with --program",
+    )
+    sub.add_argument(
+        "--arg", action="append", metavar="K=V",
+        help="workload parameter (with --workload; repeatable)",
+    )
+    sub.add_argument("--p", type=int, default=8, help="processor count (default 8)")
+    sub.add_argument(
+        "--topology", default="hypercube (multi-port)",
+        help="Table 1 topology name for network layers "
+        "(default: 'hypercube (multi-port)')",
+    )
+    sub.add_argument(
+        "--param", action="append", metavar="K=V",
+        help="model-parameter override (K in L,o,G,g,l; repeatable)",
+    )
+    sub.add_argument("--seed", type=int, default=0, help="request seed")
+    sub.add_argument(
+        "--kernel", choices=KERNELS, default=None,
+        help="event-queue kernel for the host machine / router: 'event' "
+        "(skip-ahead) or 'tick' (reference scan); default: each layer's own",
     )
 
 
-def _inspect(args) -> int:
+def _request_from_args(args, *, metrics: bool = False):
+    """The :class:`~repro.engine.request.RunRequest` the shared flags name."""
     from repro.engine.request import RunRequest
+
+    return RunRequest(
+        chain=args.chain,
+        program=args.program,
+        workload=args.workload,
+        args=_parse_kv(args.arg, "--arg"),
+        p=args.p,
+        topology=args.topology,
+        params=_parse_kv(args.param, "--param"),
+        seed=args.seed,
+        kernel=args.kernel,
+        metrics=metrics,
+    )
+
+
+# -- inspect: run one RunRequest's Stack and report on it ---------------
+
+
+def _inspect(args) -> int:
     from repro.engine.stack import Stack
-    from repro.errors import ProgramError
     from repro.obs import CostModelCheck, Observation
 
+    req = _request_from_args(args)
     try:
-        stack = Stack.from_request(
-            RunRequest(
-                chain=args.chain,
-                p=args.p,
-                topology=args.topology,
-                kernel=getattr(args, "kernel", None),
-            )
-        )
-    except (ValueError, KeyError) as exc:
-        print(f"inspect: {exc}", file=sys.stderr)
-        return 2
+        stack = Stack.from_request(req)
+    except KeyError as exc:  # an unknown topology name
+        raise ParameterError(exc.args[0]) from None
     obs = Observation(trace=bool(args.trace))
-    try:
-        result = stack.run(obs=obs)
-    except ProgramError as exc:
-        print(f"inspect: {exc}", file=sys.stderr)
-        return 2
+    result = stack.run(obs=obs)
 
     row = result.as_row()
     doc: dict = {"chain": stack.describe(), "result": row}
@@ -451,8 +523,7 @@ def _run_experiments(args) -> int:
     ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment ids: {unknown}; try 'list'", file=sys.stderr)
-        return 2
+        raise ParameterError(f"unknown experiment ids: {unknown}; try 'list'")
     multi = len(ids) > 1
     jobs = [
         (
@@ -487,87 +558,54 @@ def _experiment_job(exp_id: str, kwargs: dict) -> str:
 # -- campaign: resumable, cache-backed sweeps over a worker pool --------
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_axes(pairs: list[str]) -> list[tuple[str, tuple]]:
-    out = []
-    for pair in pairs or ():
-        name, eq, values = pair.partition("=")
-        if not eq:
-            raise ValueError(f"expected axis=v1,v2,... got {pair!r}")
-        out.append((name, tuple(_parse_value(v) for v in values.split(","))))
-    return out
-
-
 def _campaign_spec(args):
     """Resolve the positional name: a built-in campaign, or an ad-hoc
     spec assembled from a target id plus ``--grid``/``--base`` axes."""
+    import dataclasses
+
     from repro.campaign import CAMPAIGNS, CampaignSpec
+    from repro.models.params import as_int
 
     overrides = {}
     if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        overrides["seeds"] = tuple(
+            as_int("--seeds", _value(s)) for s in args.seeds.split(",")
+        )
     if args.timeout is not None:
         overrides["timeout_s"] = args.timeout
     spec = CAMPAIGNS.get(args.name)
     if spec is not None:
         if args.grid or args.base:
-            raise ValueError(
+            raise ParameterError(
                 f"{args.name!r} is a built-in campaign; --grid/--base only "
                 f"apply to ad-hoc targets"
             )
-        if overrides:
-            doc = spec.as_dict()
-            doc.update(
-                {"seeds": list(overrides.get("seeds", spec.seeds)),
-                 "timeout_s": overrides.get("timeout_s", spec.timeout_s)}
-            )
-            spec = CampaignSpec.from_dict(doc)
-        return spec
-    grid = _parse_axes(args.grid)
-    base = [(name, values[0]) for name, values in _parse_axes(args.base)]
+        return dataclasses.replace(spec, **overrides)
     return CampaignSpec(
-        name=args.store_name or args.name.replace(":", "-"),
+        name=args.store_name or args.name,
         target=args.name,
-        grid=tuple(grid),
-        base=tuple(base),
-        seeds=overrides.get("seeds", (0,)),
-        timeout_s=overrides.get("timeout_s"),
+        grid=tuple(_parse_kv(args.grid, "--grid", axes=True).items()),
+        base=tuple(_parse_kv(args.base, "--base").items()),
         description="ad-hoc CLI campaign",
+        **overrides,
     )
 
 
 def _campaign(args) -> int:
     from repro.campaign import RegressionGate, run_campaign
-    from repro.errors import ParameterError
     from repro.obs import Observation
 
-    try:
-        spec = _campaign_spec(args)
-    except (ValueError, ParameterError) as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     obs = Observation(trace=bool(args.trace)) if (args.metrics or args.trace) else None
-    try:
-        report = run_campaign(
-            spec,
-            store_dir=args.store,
-            parallel=args.parallel,
-            force=args.force,
-            stop_after=args.stop_after,
-            obs=obs,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
-    except (ValueError, ParameterError) as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    report = run_campaign(
+        spec,
+        store_dir=args.store,
+        parallel=args.parallel,
+        force=args.force,
+        stop_after=args.stop_after,
+        obs=obs,
+        progress=lambda msg: print(msg, file=sys.stderr),
+    )
     print(report.render())
     doc = report.as_dict()
     rc = 0 if (report.ok or report.interrupted) else 1
@@ -605,46 +643,18 @@ def _campaign(args) -> int:
 # -- dist: the real-process socket backend ------------------------------
 
 
-def _parse_faults(spec: str | None, kills: list[str] | None, seed: int):
-    """Build a FaultPlan from ``--faults k=v,...`` and ``--kill PID:S``."""
-    from repro.faults import FaultPlan
-
-    rates: dict = {}
-    for pair in (spec.split(",") if spec else ()):
-        key, eq, value = pair.partition("=")
-        if not eq:
-            raise ValueError(f"--faults expects k=v pairs, got {pair!r}")
-        aliases = {"drop": "drop_rate", "dup": "dup_rate",
-                   "delay": "delay_rate", "reorder": "reorder_rate",
-                   "max_extra_delay": "max_extra_delay"}
-        field = aliases.get(key, key)
-        rates[field] = int(value) if field == "max_extra_delay" else float(value)
-    crash = {}
-    for pair in kills or ():
-        pid, colon, s = pair.partition(":")
-        if not colon:
-            raise ValueError(f"--kill expects PID:SUPERSTEP, got {pair!r}")
-        crash[int(pid)] = int(s)
-    if not rates and not crash:
-        return None
-    if rates.get("delay_rate") and not rates.get("max_extra_delay"):
-        rates["max_extra_delay"] = 5
-    return FaultPlan(seed=seed, crash=crash or None, **rates)
-
-
 def _dist(args) -> int:
     import tempfile
 
-    from repro.dist import DistParams, run_reference
+    from repro.dist import DistParams, run_reference, wire_fault_plan
     from repro.engine import Stack
-    from repro.errors import DistRunError, ParameterError
+    from repro.errors import DistRunError
     from repro.obs import Observation
 
-    try:
-        plan = _parse_faults(args.faults, args.kill, args.seed)
-    except (ValueError, ParameterError) as exc:
-        print(f"dist: {exc}", file=sys.stderr)
-        return 2
+    faults = _parse_kv(args.faults and [args.faults], "--faults")
+    kills = [faults.pop("kill")] if "kill" in faults else []
+    faults["kill"] = kills + (args.kill or [])
+    plan = wire_fault_plan(faults, seed=args.seed)
     kwargs = {"rounds": args.rounds}
     log_dir = args.log_dir or tempfile.mkdtemp(prefix="repro-dist-")
     params = DistParams(run_timeout_s=args.timeout)
@@ -697,16 +707,6 @@ def _dist(args) -> int:
 
 
 # -- serve / request: simulation-as-a-service ---------------------------
-
-
-def _parse_request_params(pairs: list[str] | None) -> dict:
-    out = {}
-    for pair in pairs or ():
-        key, eq, value = pair.partition("=")
-        if not eq:
-            raise ValueError(f"--param expects K=V (K in L,o,G,g,l), got {pair!r}")
-        out[key] = int(value)
-    return out
 
 
 def _print_service_stats(stats: dict) -> None:
@@ -821,25 +821,7 @@ def _serve_smoke(cfg, args) -> int:
 
 
 def _request(args) -> int:
-    from repro.engine.request import RunRequest
-    from repro.errors import ParameterError
-
-    try:
-        req = RunRequest(
-            chain=args.chain,
-            program=args.program,
-            workload=args.workload,
-            args=_parse_workload_params(args.arg),
-            p=args.p,
-            topology=args.topology,
-            params=_parse_request_params(args.param),
-            seed=args.seed,
-            kernel=args.kernel,
-            metrics=args.with_metrics,
-        )
-    except (ValueError, ParameterError) as exc:
-        print(f"request: {exc}", file=sys.stderr)
-        return 2
+    req = _request_from_args(args, metrics=args.with_metrics)
     if args.dry_run:
         from repro.campaign import code_fingerprint
 
@@ -893,16 +875,6 @@ def _request(args) -> int:
     return 0 if all(r.get("ok") for r in responses) else 1
 
 
-def _parse_workload_params(pairs: list[str] | None) -> dict:
-    out: dict = {}
-    for pair in pairs or []:
-        key, _, value = pair.partition("=")
-        if not key or not value:
-            raise SystemExit(f"workloads: bad --param {pair!r} (want K=V)")
-        out[key] = _parse_value(value)
-    return out
-
-
 def _workload_run_line(run) -> str:
     result = run.result
     cost = getattr(result, "total_cost", None)
@@ -927,14 +899,9 @@ def _workloads_list(args) -> int:
 
 
 def _workloads_describe(args) -> int:
-    from repro.errors import ParameterError
     from repro.workloads import get
 
-    try:
-        w = get(args.name)
-    except ParameterError as exc:
-        print(f"workloads: {exc}", file=sys.stderr)
-        return 2
+    w = get(args.name)
     print(w.describe())
     print(f"  campaign: {w.spec(quick=True).name} (target=workload)")
     return 0
@@ -945,10 +912,9 @@ def _workloads_run(args) -> int:
 
     if args.all:
         targets = list(iter_workloads(family=args.family))
+    elif not args.name:
+        raise ParameterError("give a workload name or --all")
     else:
-        if not args.name:
-            print("workloads: give a workload name or --all", file=sys.stderr)
-            return 2
         targets = [get(args.name)]
     records = []
     all_ok = True
@@ -957,7 +923,7 @@ def _workloads_run(args) -> int:
             list(w.points(quick=True, seeds=(args.seed,)))
             if args.quick
             else [{"p": args.p or int(w.defaults["p"]), "seed": args.seed,
-                   **_parse_workload_params(args.param)}]
+                   **_parse_kv(args.arg, "--arg")}]
         )
         runs = []
         for point in points:
@@ -1052,6 +1018,22 @@ def _workloads(args) -> int:
     }[args.wcommand](args)
 
 
+def _list(args) -> int:
+    from repro.campaign import CAMPAIGNS
+    from repro.workloads import iter_workloads
+
+    for key, (desc, _fn) in EXPERIMENTS.items():
+        print(f"{key:5s} {desc}")
+    print()
+    for name, spec in CAMPAIGNS.items():
+        print(f"{name:10s} {spec.description} [campaign]")
+    print()
+    for w in iter_workloads():
+        space = "  ".join(f"{k}={list(v)}" for k, v in sorted(w.space.items()))
+        print(f"{w.name:20s} {space} [workload/{w.family}]")
+    return 0
+
+
 def _add_obs_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--json",
@@ -1098,8 +1080,9 @@ def main(argv: list[str] | None = None) -> int:
     camp.add_argument(
         "name",
         help="a built-in campaign name (see 'list'), or a target id "
-        "(theorem1, theorem2, cb, experiment:<ID>, chain:<spec>) "
-        "combined with --grid",
+        "(request, workload, theorem2, cb, demo, dist) combined with "
+        "--grid/--base; the Theorem 1 grids (th1-grid, th1-smoke) run "
+        "on the request target",
     )
     camp.add_argument(
         "--grid",
@@ -1110,8 +1093,9 @@ def main(argv: list[str] | None = None) -> int:
     camp.add_argument(
         "--base",
         action="append",
-        metavar="KEY=VALUE",
-        help="fixed parameter merged under every point (repeatable)",
+        metavar="K=V",
+        help="fixed parameter(s) merged under every point: one value per "
+        "key, comma-separated pairs (repeatable)",
     )
     camp.add_argument("--seeds", metavar="S1,S2,...", help="per-point seeds")
     camp.add_argument(
@@ -1158,31 +1142,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_obs_flags(camp)
     inspect_p = sub.add_parser(
         "inspect",
-        help="run a demo program through a Stack chain "
-        "(e.g. bsp-on-logp-on-network) and report on it",
+        help="run one RunRequest's Stack chain (e.g. bsp-on-logp-on-network) "
+        "in-process and report on it",
     )
-    inspect_p.add_argument(
-        "chain",
-        help="layer chain, guest first: bsp, logp, logp-on-bsp, "
-        "bsp-on-logp, bsp-on-network, logp-on-network, "
-        "bsp-on-logp-on-network",
-    )
-    inspect_p.add_argument(
-        "--p", type=int, default=8, help="processor count (default 8)"
-    )
-    inspect_p.add_argument(
-        "--topology",
-        default="hypercube (multi-port)",
-        help="Table 1 topology name for network layers "
-        "(default: 'hypercube (multi-port)')",
-    )
-    inspect_p.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="event-queue kernel for the host machine / router: 'event' "
-        "(skip-ahead) or 'tick' (reference scan); default: each layer's own",
-    )
+    _add_request_flags(inspect_p)
     _add_obs_flags(inspect_p)
     dist_p = sub.add_parser(
         "dist",
@@ -1207,7 +1170,7 @@ def main(argv: list[str] | None = None) -> int:
         "--faults",
         metavar="K=V,...",
         help="wire-fault rates, e.g. drop=0.2,dup=0.1,delay=0.1 "
-        "(keys: drop, dup, delay, reorder, max_extra_delay)",
+        "(keys: drop, dup, delay, max_extra_delay, kill)",
     )
     dist_p.add_argument(
         "--kill",
@@ -1267,38 +1230,7 @@ def main(argv: list[str] | None = None) -> int:
         help="build one RunRequest and resolve it — against a running "
         "'serve' instance, or --local in-process",
     )
-    req_p.add_argument(
-        "chain",
-        help="layer chain, guest first (bsp, bsp-on-logp, "
-        "bsp-on-logp-on-network, bsp-on-dist, ...)",
-    )
-    req_p.add_argument(
-        "--program", default="default",
-        help="named guest program (default: the chain's demo program)",
-    )
-    req_p.add_argument(
-        "--workload", default=None,
-        help="registered workload name (see 'workloads list'); mutually "
-        "exclusive with --program",
-    )
-    req_p.add_argument(
-        "--arg", action="append", metavar="K=V",
-        help="workload parameter (with --workload; repeatable)",
-    )
-    req_p.add_argument("--p", type=int, default=8, help="processor count")
-    req_p.add_argument(
-        "--topology", default="hypercube (multi-port)",
-        help="Table 1 topology for network layers",
-    )
-    req_p.add_argument(
-        "--param", action="append", metavar="K=V",
-        help="model-parameter override (K in L,o,G,g,l; repeatable)",
-    )
-    req_p.add_argument("--seed", type=int, default=0, help="request seed")
-    req_p.add_argument(
-        "--kernel", choices=KERNELS, default=None,
-        help="event-queue kernel for layers that own a queue",
-    )
+    _add_request_flags(req_p)
     req_p.add_argument(
         "--with-metrics", action="store_true",
         help="set the request's metrics flag: the computed record embeds "
@@ -1360,7 +1292,7 @@ def main(argv: list[str] | None = None) -> int:
     wl_run.add_argument("--p", type=int, help="processor count override")
     wl_run.add_argument("--seed", type=int, default=0, help="run seed")
     wl_run.add_argument(
-        "--param", action="append", metavar="K=V",
+        "--arg", action="append", metavar="K=V",
         help="workload parameter override (repeatable)",
     )
     wl_run.add_argument(
@@ -1394,36 +1326,21 @@ def main(argv: list[str] | None = None) -> int:
         "--out", metavar="OUT.json", help="write the study document as JSON"
     )
     args = parser.parse_args(argv)
-
-    if args.command == "list":
-        from repro.campaign import CAMPAIGNS
-        from repro.workloads import iter_workloads
-
-        for key, (desc, _fn) in EXPERIMENTS.items():
-            print(f"{key:5s} {desc}")
-        print()
-        for name, spec in CAMPAIGNS.items():
-            print(f"{name:10s} {spec.description} [campaign]")
-        print()
-        for w in iter_workloads():
-            space = "  ".join(
-                f"{k}={list(v)}" for k, v in sorted(w.space.items())
-            )
-            print(f"{w.name:20s} {space} [workload/{w.family}]")
-        return 0
-    if args.command == "inspect":
-        return _inspect(args)
-    if args.command == "campaign":
-        return _campaign(args)
-    if args.command == "dist":
-        return _dist(args)
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "request":
-        return _request(args)
-    if args.command == "workloads":
-        return _workloads(args)
-    return _run_experiments(args)
+    handler = {
+        "list": _list,
+        "run": _run_experiments,
+        "campaign": _campaign,
+        "inspect": _inspect,
+        "dist": _dist,
+        "serve": _serve,
+        "request": _request,
+        "workloads": _workloads,
+    }[args.command]
+    try:
+        return handler(args)
+    except (ParameterError, ProgramError, TopologyError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

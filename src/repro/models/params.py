@@ -5,21 +5,14 @@ Section 2; in particular LogP's ``max{2, o} <= G <= L`` (each inequality is
 individually motivated in the paper and individually reproduced in
 ``tests/logp/test_parameter_constraints.py``).
 
-**Unified keyword spellings** (see docs/ARCHITECTURE.md): both parameter
-bundles accept one long spelling per concept — ``processors``, ``gap``,
-``latency`` (plus LogP's ``overhead`` and ``word_gap``) — alongside the
-paper's one-letter names.  The historical cross-model spellings
-(``BSPParams(G=, L=)``, ``LogPParams(g=, l=)``) are accepted for one
-release with a :class:`DeprecationWarning`; the paper's own casing stays
-canonical because BSP and LogP deliberately use different cases for
-different quantities (lower-case ``g``/``l`` are BSP's, upper-case
-``G``/``L`` are LogP's).
+Each parameter has one spelling, the paper's: BSP and LogP deliberately
+use different cases for different quantities (lower-case ``g``/``l`` are
+BSP's, upper-case ``G``/``L`` are LogP's).
 """
 
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
@@ -28,96 +21,35 @@ from repro.util.intmath import ceil_div
 __all__ = ["BSPParams", "LogPParams"]
 
 
-def resolve_aliases(
-    cls_name: str,
-    kwargs: dict,
-    *,
-    aliases: dict[str, str],
-    deprecated: dict[str, str] = {},
-) -> dict:
-    """Fold alternate keyword spellings into their canonical names.
-
-    ``aliases`` are the unified long spellings (accepted silently);
-    ``deprecated`` are legacy spellings that emit a
-    :class:`DeprecationWarning` naming the replacement.  Passing an
-    alias together with its canonical name is an error.
-    """
-    for table, warn in ((aliases, False), (deprecated, True)):
-        for alias, target in table.items():
-            if alias not in kwargs:
-                continue
-            if target in kwargs:
-                raise ParameterError(
-                    f"{cls_name}() got both {alias!r} and its canonical "
-                    f"spelling {target!r}"
-                )
-            if warn:
-                warnings.warn(
-                    f"{cls_name}({alias}=...) is deprecated; "
-                    f"use {cls_name}({target}=...)",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            kwargs[target] = kwargs.pop(alias)
-    return kwargs
-
-
-#: Sentinel marking a required field in a ``_bind_fields`` spec.
-REQUIRED = object()
-
-
-def _bind_fields(obj, spec: tuple[tuple[str, object], ...], args: tuple, kwargs: dict) -> None:
-    """Dataclass-equivalent argument binding for the ``init=False``
-    parameter classes: positional args fill ``spec`` in order, keywords
-    fill the rest, defaults apply, and the usual ``TypeError``s fire for
-    duplicates/unknowns/missing."""
-    cls_name = type(obj).__name__
-    names = [name for name, _default in spec]
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls_name}() takes at most {len(names)} positional arguments "
-            f"({len(args)} given)"
-        )
-    for name, value in zip(names, args):
-        if name in kwargs:
-            raise TypeError(f"{cls_name}() got multiple values for argument {name!r}")
-        kwargs[name] = value
-    unknown = [k for k in kwargs if k not in names]
-    if unknown:
-        raise TypeError(
-            f"{cls_name}() got unexpected keyword argument(s) {unknown}"
-        )
-    for name, default in spec:
-        value = kwargs.get(name, default)
-        if value is REQUIRED:
-            raise TypeError(f"{cls_name}() missing required argument: {name!r}")
-        object.__setattr__(obj, name, value)
-
-
-def _coerce_int_fields(obj, fields: tuple[str, ...]) -> None:
-    """Coerce each named field to a plain ``int`` (accepting numpy ints
-    and other ``__index__`` types), raising :class:`ParameterError` for
-    floats, strings and anything else non-integral.
+def as_int(name: str, value) -> int:
+    """``value`` as a plain ``int`` (accepting numpy ints and other
+    ``__index__`` types), raising :class:`ParameterError` labelled with
+    ``name`` for bools, floats, strings and anything else non-integral.
 
     Without this, a float or string parameter sails past the sign checks
     (``4.0 < 1`` is a fine comparison) and only explodes much later as an
-    opaque ``TypeError`` deep inside the engine's ``range``/heap code.
+    opaque ``TypeError`` deep inside the engine's ``range``/heap code; and
+    ``int()`` would silently truncate ``8.7`` to 8 or read ``"8"`` as 8.
     """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got bool {value!r}")
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+
+
+def _coerce_int_fields(obj, fields: tuple[str, ...]) -> None:
+    """Apply :func:`as_int` to each named field of a frozen dataclass."""
     for name in fields:
-        value = getattr(obj, name)
-        if isinstance(value, bool):
-            raise ParameterError(f"{name} must be an integer, got bool {value!r}")
-        try:
-            coerced = operator.index(value)
-        except TypeError:
-            raise ParameterError(
-                f"{name} must be an integer, got {type(value).__name__} {value!r}"
-            ) from None
-        # frozen dataclass: bypass the frozen __setattr__
-        object.__setattr__(obj, name, int(coerced))
+        object.__setattr__(obj, name, as_int(name, getattr(obj, name)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BSPParams:
     """BSP machine parameters (Section 2.1).
 
@@ -128,32 +60,18 @@ class BSPParams:
     Attributes
     ----------
     p:
-        Number of processors.  Keyword alias: ``processors``.
+        Number of processors.
     g:
         Reciprocal per-processor bandwidth: for large message sets the
-        medium delivers ``p`` messages every ``g`` units.  Keyword alias:
-        ``gap``; the cross-model spelling ``G=`` is deprecated.
+        medium delivers ``p`` messages every ``g`` units.
     l:
         Upper bound on barrier-synchronization time; ``g + l`` bounds the
-        latency of a lone message.  Keyword alias: ``latency``; the
-        cross-model spelling ``L=`` is deprecated.
+        latency of a lone message.
     """
 
     p: int
     g: int
     l: int
-
-    _SPEC = (("p", REQUIRED), ("g", REQUIRED), ("l", REQUIRED))
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = resolve_aliases(
-            "BSPParams",
-            kwargs,
-            aliases={"processors": "p", "gap": "g", "latency": "l"},
-            deprecated={"G": "g", "L": "l"},
-        )
-        _bind_fields(self, self._SPEC, args, kwargs)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _coerce_int_fields(self, ("p", "g", "l"))
@@ -171,27 +89,24 @@ class BSPParams:
         return w + self.g * h + self.l
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LogPParams:
     """LogP machine parameters (Section 2.2).
 
     Attributes
     ----------
     p:
-        Number of processors.  Keyword alias: ``processors``.
+        Number of processors.
     L:
         Latency: a message is delivered at most ``L`` steps after its
-        acceptance by the communication medium.  Keyword alias:
-        ``latency``; the cross-model spelling ``l=`` is deprecated.
+        acceptance by the communication medium.
     o:
         Overhead: processor time to prepare a submission or acquire a
-        delivered message.  Keyword alias: ``overhead``.
+        delivered message.
     G:
         Gap: minimum spacing between consecutive submissions, and between
         consecutive acquisitions, by the same processor.  (Upper-case to
         match the paper, which reserves lower-case ``g`` for BSP.)
-        Keyword alias: ``gap``; the cross-model spelling ``g=`` is
-        deprecated.
 
     The *capacity constraint* permits at most ``ceil(L/G)`` messages in
     transit to any single destination; :attr:`capacity` exposes that bound.
@@ -214,31 +129,6 @@ class LogPParams:
     G: int
     unchecked: bool = False
     Gb: int = 0
-
-    _SPEC = (
-        ("p", REQUIRED),
-        ("L", REQUIRED),
-        ("o", REQUIRED),
-        ("G", REQUIRED),
-        ("unchecked", False),
-        ("Gb", 0),
-    )
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = resolve_aliases(
-            "LogPParams",
-            kwargs,
-            aliases={
-                "processors": "p",
-                "latency": "L",
-                "overhead": "o",
-                "gap": "G",
-                "word_gap": "Gb",
-            },
-            deprecated={"g": "G", "l": "L"},
-        )
-        _bind_fields(self, self._SPEC, args, kwargs)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _coerce_int_fields(self, ("p", "L", "o", "G", "Gb"))

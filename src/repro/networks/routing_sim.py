@@ -38,7 +38,6 @@ import numpy as np
 from repro.engine.core import counters_for
 from repro.engine.result import MachineResult
 from repro.errors import RoutingError
-from repro.models.params import _bind_fields, resolve_aliases
 from repro.networks.topology import Topology
 from repro.perf.counters import KernelCounters
 from repro.perf.event_queue import KERNELS
@@ -57,7 +56,7 @@ VECTOR_MIN_PACKETS = 512
 VECTOR_MIN_RATIO = 8
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RoutingConfig:
     """Simulator knobs.
 
@@ -69,9 +68,7 @@ class RoutingConfig:
     transmission attempt fails (the packet stays queued and is retried on
     a later step — a lossy link with link-level retransmission).  Faults
     are drawn from a stream seeded by ``seed``, so a fixed seed
-    reproduces the exact same fault pattern.  (``fault_seed=`` is the
-    deprecated spelling — the unified keyword vocabulary uses one
-    ``seed`` everywhere; see docs/ARCHITECTURE.md.)
+    reproduces the exact same fault pattern.
     ``kernel``: ``"event"`` visits only edges/nodes with queued packets
     each step (active-set scheduling), moving a wide multi-port FIFO
     relation in one numpy array pass per step (see :func:`_vectorizes`);
@@ -89,26 +86,6 @@ class RoutingConfig:
     seed: int = 0
     kernel: str = "event"
 
-    _SPEC = (
-        ("single_port", False),
-        ("priority", "fifo"),
-        ("valiant", False),
-        ("max_steps", 1_000_000),
-        ("link_fault_rate", 0.0),
-        ("seed", 0),
-        ("kernel", "event"),
-    )
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = resolve_aliases(
-            "RoutingConfig",
-            kwargs,
-            aliases={},
-            deprecated={"fault_seed": "seed"},
-        )
-        _bind_fields(self, self._SPEC, args, kwargs)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not 0.0 <= self.link_fault_rate < 1.0:
             raise RoutingError(
@@ -119,11 +96,6 @@ class RoutingConfig:
             raise RoutingError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
-
-    @property
-    def fault_seed(self) -> int:
-        """Deprecated read alias for :attr:`seed`."""
-        return self.seed
 
 
 @dataclass

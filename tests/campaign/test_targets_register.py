@@ -39,10 +39,6 @@ class TestRegisterTarget:
         register_target("v", lambda point, obs=None: {"v": 2}, replace=True)
         assert run_point("v", {}) == {"v": 2}
 
-    def test_colon_names_rejected(self, scratch_registry):
-        with pytest.raises(ParameterError, match="may not contain ':'"):
-            register_target("experiment:fake", lambda point, obs=None: {})
-
     def test_empty_name_and_non_callable_rejected(self, scratch_registry):
         with pytest.raises(ParameterError, match="non-empty string"):
             register_target("  ", lambda point, obs=None: {})
@@ -54,8 +50,16 @@ class TestRegisterTarget:
             resolve_target("no-such-target")
 
     def test_builtins_are_registered_through_the_public_api(self):
-        for name in ("theorem1", "theorem2", "cb", "demo", "dist", "request"):
-            assert name in TARGETS, name
+        assert set(TARGETS) == {
+            "request", "workload", "theorem2", "cb", "demo", "dist"
+        }
+
+    def test_no_prefixed_target_forms(self):
+        """Stack chains and experiment tables are ``request`` points or
+        CLI tables, not ``chain:``/``experiment:`` targets."""
+        for name in ("chain:bsp-on-logp", "experiment:TH1", "theorem1"):
+            with pytest.raises(ParameterError, match="unknown campaign target"):
+                resolve_target(name)
 
 
 class TestRequestTarget:
@@ -74,3 +78,18 @@ class TestRequestTarget:
     def test_request_target_rejects_bad_points(self):
         with pytest.raises(ParameterError, match="unknown guest model"):
             run_point("request", {"chain": "mpi"})
+
+    def test_theorem1_point_is_a_request(self):
+        """A th1-grid point is a logp-on-bsp RunRequest document whose
+        record carries the Theorem 1 row and its cost check."""
+        from repro.campaign import CAMPAIGNS
+
+        spec = CAMPAIGNS["th1-grid"]
+        assert spec.target == "request"
+        point = spec.points()[0]
+        record = run_point(spec.target, point)
+        assert record["request"]["chain"] == "logp-on-bsp"
+        assert record["request"]["params"] == point["params"]
+        assert record["chain"] == "logp -> bsp"
+        assert record["outputs_match"] is True
+        assert record["cost_check"]["residuals"]

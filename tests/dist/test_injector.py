@@ -1,6 +1,9 @@
 """WireFaults: same seeded FaultPlan, same fates, in both backends."""
 
-from repro.dist.injector import WireFaults, preview_fates
+import pytest
+
+from repro.dist.injector import WireFaults, preview_fates, wire_fault_plan
+from repro.errors import ParameterError
 from repro.faults.plan import FaultPlan
 from repro.models.message import Message
 
@@ -64,3 +67,44 @@ class TestBookkeeping:
         assert wire.send_fate(frame(0, 1)) is None
         assert wire.kill_directive(1) == 2
         assert wire.kill_directive(0) is None
+
+
+class TestWireFaultPlan:
+    """The one fault spec the ``dist`` CLI and campaign target share."""
+
+    def test_rates_kill_and_delay_default(self):
+        plan = wire_fault_plan(
+            {"drop": 0.2, "dup": 0.1, "delay": 0.1, "kill": ["1:2", "0:3"]}, seed=7
+        )
+        assert (plan.seed, plan.drop_rate, plan.dup_rate, plan.delay_rate) == (
+            7, 0.2, 0.1, 0.1
+        )
+        assert plan.max_extra_delay == 5
+        assert dict(plan.crash) == {1: 2, 0: 3}
+
+    def test_no_faults_is_no_plan(self):
+        assert wire_fault_plan({}) is None
+        assert wire_fault_plan({"kill": ""}) is None
+
+    @pytest.mark.parametrize(
+        "faults, match",
+        [
+            ({"reorder": 0.5}, "unknown wire fault"),
+            ({"foo": 1}, "unknown wire fault"),
+            ({"drop": "x"}, "drop must be a rate"),
+            ({"drop": 2.0}, "drop_rate"),
+            ({"delay": 0.1, "max_extra_delay": 1.5}, "max_extra_delay must be an integer"),
+            ({"kill": "3"}, "PID:SUPERSTEP"),
+        ],
+    )
+    def test_anything_else_is_rejected(self, faults, match):
+        with pytest.raises(ParameterError, match=match):
+            wire_fault_plan(faults)
+
+    def test_campaign_target_rejects_unapplied_faults(self):
+        """The ``dist`` target builds its plan the same way, so a rate the
+        injector never applies fails before any process spawns."""
+        from repro.campaign import run_point
+
+        with pytest.raises(ParameterError, match="unknown wire fault"):
+            run_point("dist", {"program": "ring", "p": 2, "reorder": 0.5})

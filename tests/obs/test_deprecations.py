@@ -1,4 +1,10 @@
-"""Legacy entry points and keyword spellings: wrapped, warned, equivalent."""
+"""Removed legacy entry points and spellings stay removed.
+
+The package-level ``repro.core.simulate_*`` wrappers, the cross-model
+keyword spellings, the long keyword aliases and ``fault_seed=`` finished
+their deprecation cycle and are gone: each parameter has one spelling,
+the paper's.
+"""
 
 import warnings
 
@@ -12,67 +18,45 @@ from repro.programs import bsp_prefix_program, logp_sum_program
 PARAMS = LogPParams(p=4, L=8, o=1, G=2)
 
 
-def assert_deprecated(fn, match: str):
-    with pytest.warns(DeprecationWarning, match=match):
-        return fn()
-
-
 class TestLegacyWrappers:
-    """Every package-level cross-simulation entry point warns and points
-    at the equivalent Stack chain — and still computes the same result."""
+    """The wrappers are gone from ``repro.core``; the submodule drivers
+    they wrapped remain, and compute what the Stack chain computes."""
 
     def test_simulate_bsp_on_logp(self):
-        rep = assert_deprecated(
-            lambda: core.simulate_bsp_on_logp(PARAMS, bsp_prefix_program()),
-            match=r"Stack\(program\)\.on_logp",
-        )
+        from repro.core.bsp_on_logp import simulate_bsp_on_logp
+
+        assert not hasattr(core, "simulate_bsp_on_logp")
+        rep = simulate_bsp_on_logp(PARAMS, bsp_prefix_program())
         via_stack = Stack(bsp_prefix_program()).on_logp(PARAMS).run()
         assert rep.total_logp_time == via_stack.total_logp_time
         assert rep.results == via_stack.results
 
     def test_simulate_logp_on_bsp(self):
-        rep = assert_deprecated(
-            lambda: core.simulate_logp_on_bsp(PARAMS, logp_sum_program()),
-            match=r"model='logp'.*\.on_bsp\(\)",
-        )
+        from repro.core.logp_on_bsp import simulate_logp_on_bsp
+
+        assert not hasattr(core, "simulate_logp_on_bsp")
+        rep = simulate_logp_on_bsp(PARAMS, logp_sum_program())
         via_stack = Stack(logp_sum_program(), model="logp", params=PARAMS).on_bsp().run()
         assert rep.virtual_time == via_stack.virtual_time
         assert rep.results == via_stack.results
 
     def test_simulate_logp_on_bsp_workpreserving(self):
-        rep = assert_deprecated(
-            lambda: core.simulate_logp_on_bsp_workpreserving(
-                PARAMS, logp_sum_program(), 2
-            ),
-            match=r"on_bsp\(p=bsp_p\)",
-        )
+        from repro.core.logp_on_bsp import simulate_logp_on_bsp_workpreserving
+
+        assert not hasattr(core, "simulate_logp_on_bsp_workpreserving")
+        rep = simulate_logp_on_bsp_workpreserving(PARAMS, logp_sum_program(), 2)
         via_stack = (
             Stack(logp_sum_program(), model="logp", params=PARAMS).on_bsp(p=2).run()
         )
         assert rep.bsp.total_cost == via_stack.bsp.total_cost
         assert rep.results == via_stack.results
 
-    def test_importing_a_wrapper_name_warns(self):
-        """Merely *accessing* the legacy name off ``repro.core`` warns —
-        before any call — via the module-level ``__getattr__``."""
-        with pytest.warns(DeprecationWarning, match=r"simulate_bsp_on_logp"):
-            getattr(core, "simulate_bsp_on_logp")
-
-        # `from repro.core import <name>` goes through the same hook
-        with pytest.warns(DeprecationWarning, match=r"simulate_logp_on_bsp"):
-            exec("from repro.core import simulate_logp_on_bsp", {})
-
-    def test_wrappers_still_listed_in_dir(self):
-        names = dir(core)
-        assert "simulate_bsp_on_logp" in names
-        assert "simulate_logp_on_bsp_workpreserving" in names
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_thing"):
             core.no_such_thing
 
     def test_submodule_drivers_do_not_warn(self):
-        """The Stack adapters' own entry points stay undeprecated."""
+        """The Stack adapters' own entry points are not deprecated."""
         from repro.core.bsp_on_logp import simulate_bsp_on_logp
 
         with warnings.catch_warnings():
@@ -81,81 +65,51 @@ class TestLegacyWrappers:
 
 
 class TestParamAliases:
-    def test_bsp_canonical_aliases_are_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            p = BSPParams(processors=4, gap=2, latency=16)
-        assert (p.p, p.g, p.l) == (4, 2, 16)
-
-    def test_logp_canonical_aliases_are_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            p = LogPParams(processors=4, latency=8, overhead=1, gap=2, word_gap=1)
-        assert (p.p, p.L, p.o, p.G, p.Gb) == (4, 8, 1, 2, 1)
-
-    def test_bsp_cross_model_spellings_warn(self):
-        with pytest.warns(DeprecationWarning, match=r"BSPParams\(G=\.\.\.\)"):
-            p = BSPParams(p=4, G=2, l=16)
-        assert p.g == 2
-        with pytest.warns(DeprecationWarning, match=r"BSPParams\(L=\.\.\.\)"):
-            p = BSPParams(p=4, g=2, L=16)
-        assert p.l == 16
-
-    def test_logp_cross_model_spellings_warn(self):
-        with pytest.warns(DeprecationWarning, match=r"LogPParams\(g=\.\.\.\)"):
-            p = LogPParams(p=4, L=8, o=1, g=2)
-        assert p.G == 2
-        with pytest.warns(DeprecationWarning, match=r"LogPParams\(l=\.\.\.\)"):
-            p = LogPParams(p=4, l=8, o=1, G=2)
-        assert p.L == 8
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BSPParams(p=4, G=2, l=16),
+            lambda: BSPParams(p=4, g=2, L=16),
+            lambda: LogPParams(p=4, L=8, o=1, g=2),
+            lambda: LogPParams(p=4, l=8, o=1, G=2),
+            lambda: BSPParams(processors=4, gap=2, latency=16),
+            lambda: LogPParams(processors=4, latency=8, overhead=1, gap=2),
+            lambda: LogPParams(p=4, L=8, o=1, G=2, word_gap=1),
+            lambda: RoutingConfig(fault_seed=7),
+        ],
+        ids=[
+            "BSP-G", "BSP-L", "LogP-g", "LogP-l",
+            "BSP-long", "LogP-long", "LogP-word_gap", "RoutingConfig-fault_seed",
+        ],
+    )
+    def test_one_spelling_per_parameter(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
 
     def test_alias_plus_canonical_is_an_error(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             BSPParams(p=4, g=2, gap=2, l=16)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             LogPParams(p=4, L=8, latency=8, o=1, G=2)
-
-    def test_aliased_params_equal_canonical(self):
-        assert BSPParams(processors=4, gap=2, latency=16) == BSPParams(p=4, g=2, l=16)
-        assert LogPParams(processors=4, latency=8, overhead=1, gap=2) == LogPParams(
-            p=4, L=8, o=1, G=2
-        )
 
     def test_positional_construction_still_works(self):
         assert BSPParams(4, 2, 16) == BSPParams(p=4, g=2, l=16)
         assert LogPParams(4, 8, 1, 2) == LogPParams(p=4, L=8, o=1, G=2)
+        assert LogPParams(4, 8, 1, 2, False, 1).Gb == 1
 
     def test_validation_still_enforced(self):
         with pytest.raises(ParameterError):
-            BSPParams(processors=0, gap=2, latency=16)
+            BSPParams(p=0, g=2, l=16)
         with pytest.raises(ParameterError):
-            LogPParams(p=4, latency=0, o=1, G=2)
+            LogPParams(p=4, L=0, o=1, G=2)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            BSPParams(p=4, g=2.5, l=16)
 
 
 class TestRoutingConfigSeed:
-    def test_fault_seed_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match=r"RoutingConfig\(fault_seed=\.\.\.\)"):
-            cfg = RoutingConfig(link_fault_rate=0.2, fault_seed=7)
-        assert cfg.seed == 7
-        assert cfg.fault_seed == 7  # compat read property
-
     def test_canonical_seed_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             cfg = RoutingConfig(seed=7)
         assert cfg.seed == 7
-
-    def test_same_faults_either_spelling(self):
-        from repro.networks import Hypercube
-        from repro.networks.routing_sim import route_h_relation
-
-        new = RoutingConfig(link_fault_rate=0.3, seed=11)
-        with pytest.warns(DeprecationWarning):
-            old = RoutingConfig(link_fault_rate=0.3, fault_seed=11)
-        a = route_h_relation(Hypercube(8), 2, seed=1, config=new)
-        b = route_h_relation(Hypercube(8), 2, seed=1, config=old)
-        assert (a.time, a.total_hops, a.retransmissions) == (
-            b.time,
-            b.total_hops,
-            b.retransmissions,
-        )
+        assert not hasattr(cfg, "fault_seed")

@@ -47,6 +47,44 @@ class TestSchema:
         with pytest.raises(ParameterError, match=f"kernel '{kernel}' unknown"):
             RunRequest.coerce({"chain": chain, "kernel": kernel})
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ({"p": 8.7}, "RunRequest p must be an integer, got float"),
+            ({"p": "8"}, "RunRequest p must be an integer, got str"),
+            ({"p": True}, "RunRequest p must be an integer, got bool"),
+            ({"seed": 2.9}, "RunRequest seed must be an integer, got float"),
+            ({"version": 1.5}, "RunRequest version must be an integer"),
+            ({"params": {"L": 8.5}}, "RunRequest params L must be an integer"),
+            (
+                {"workload": "jacobi", "args": {"n": 48.9}},
+                "RunRequest args n must be an integer, got float",
+            ),
+            (
+                {"workload": "jacobi", "args": {"n": "x"}},
+                "RunRequest args n must be an integer, got str",
+            ),
+            ({"metrics": "false"}, "RunRequest metrics must be a bool"),
+            ({"metrics": 1}, "RunRequest metrics must be a bool"),
+        ],
+        ids=[
+            "p-float", "p-str", "p-bool", "seed-float", "version-float",
+            "params-float", "args-float", "args-str", "metrics-str", "metrics-int",
+        ],
+    )
+    def test_non_integral_input_rejected_not_truncated(self, doc, match):
+        """Integer fields take ints only: a float, string or bool is a
+        labelled ParameterError, never silently truncated or misread."""
+        with pytest.raises(ParameterError, match=match):
+            RunRequest.coerce({"chain": "bsp", **doc})
+
+    def test_integer_likes_still_accepted(self):
+        import numpy as np
+
+        req = RunRequest(chain="bsp", p=np.int64(4), params={"g": np.int32(3)})
+        assert (req.p, dict(req.params)) == (4, {"g": 3})
+        assert type(req.p) is int
+
     def test_chain_spelling_normalized(self):
         assert RunRequest(chain="BSP_on_LogP").chain == "bsp-on-logp"
 
@@ -83,17 +121,24 @@ class TestStackRoundTrip:
         with pytest.raises(ProgramError, match="not built from a RunRequest"):
             stack.to_request()
 
-    def test_request_build_matches_inspect_build(self):
-        """The one shared assembly path really is the CLI's: identical
-        chain, identical result."""
-        from repro.experiments import _build_inspect_stack
+    @pytest.mark.parametrize(
+        "chain", ["bsp", "logp-on-bsp", "bsp-on-logp-on-network"]
+    )
+    def test_inspect_json_matches_request_target(self, chain, capsys):
+        """``inspect <chain>`` and the campaign/service ``request`` target
+        run the same RunRequest: identical row, identical cost check."""
+        from repro.campaign import run_point
+        from repro.experiments import main
 
-        req = RunRequest(chain="logp-on-bsp", p=4)
-        via_request = build_stack(req).run()
-        via_inspect = _build_inspect_stack("logp", ["bsp"], 4,
-                                           req.topology).run()
-        assert via_request.virtual_time == via_inspect.virtual_time
-        assert via_request.results == via_inspect.results
+        assert main(["inspect", chain, "--p", "4", "--json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads([ln for ln in out.splitlines() if ln.startswith("{")][-1])
+        record = json.loads(
+            json.dumps(run_point("request", {"chain": chain, "p": 4}), default=str)
+        )
+        assert doc["chain"] == record["chain"]
+        assert doc["result"] == {k: record[k] for k in doc["result"]}
+        assert doc["cost_check"] == record["cost_check"]
 
     def test_param_overrides_reach_the_machines(self):
         base = build_stack(RunRequest(chain="bsp-on-logp", p=4)).run()

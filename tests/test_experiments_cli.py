@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments import EXPERIMENTS, main
 
 
@@ -42,3 +44,55 @@ class TestCLI:
         assert set(EXPERIMENTS) == {"T1", "TH1", "P1", "TH2", "TH3", "ST", "OB1", "WP"}
         for _desc, fn in EXPERIMENTS.values():
             assert callable(fn)
+
+
+#: Malformed CLI input and a fragment of the one stderr line it must give.
+CASES = [
+    ("workloads run nope", "unknown workload 'nope'"),
+    ("workloads run jacobi --arg n=x", "args n must be an integer"),
+    ("workloads run", "give a workload name or --all"),
+    ("dist ring --faults foo=1", "unknown wire fault(s) ['foo']"),
+    ("dist ring --faults reorder=0.5", "unknown wire fault(s) ['reorder']"),
+    ("dist ring --kill 1", "kill expects PID:SUPERSTEP"),
+    ("dist nope", "unknown dist program 'nope'"),
+    ("request bsp --workload jacobi --arg n", "--arg expects K=V, got 'n'"),
+    ("request bsp --param L=8.5 --dry-run", "params L must be an integer"),
+    ("request bsp --param L=8 --param L=16 --dry-run", "gives 'L' twice"),
+    ("campaign demo --grid x=1 --base y=1,2", "--base expects K=V"),
+    ("campaign demo --grid x=1 --base p=8,16", "got '16' (in 'p=8,16')"),
+    ("campaign demo --grid x=", "--grid expects AXIS=V1,V2,..."),
+    ("campaign demo --grid x=1 --seeds a", "--seeds must be an integer"),
+    ("campaign nope", "unknown campaign target 'nope'"),
+    ("inspect bsp --p 0", "needs p >= 1"),
+    ("inspect bsp-on-network --topology nope", "unknown topology 'nope'"),
+    ("inspect logp-on-logp-on-network", "supported stacks"),
+    ("run NOPE", "unknown experiment ids"),
+]
+
+
+class TestInputErrors:
+    """Every input error ends the same way: exit 2 and one
+    ``<subcommand>: <message>`` line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message", CASES, ids=[argv.replace(" ", "_") for argv, _ in CASES]
+    )
+    def test_one_line_exit_2(self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no store directory lands in the repo
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        command = argv.split()[0]
+        assert err.count("\n") == 1 and err.startswith(f"{command}: "), err
+        assert message in err, err
+        assert "Traceback" not in out + err
+        assert not list(tmp_path.iterdir())
+
+    def test_kv_items_take_commas_and_the_value_rule(self, capsys):
+        """``--param`` takes comma-separated pairs; a value is an int,
+        else a float, else a string."""
+        assert main([
+            "request", "bsp-on-logp", "--param", "L=32,g=4", "--dry-run",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["request"]["params"] == {"L": 32, "g": 4}
+

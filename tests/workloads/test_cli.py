@@ -42,7 +42,7 @@ class TestRun:
         assert "ok+val" in capsys.readouterr().out
 
     def test_parameter_override(self, capsys):
-        assert main(["workloads", "run", "jacobi", "--param", "iters=2"]) == 0
+        assert main(["workloads", "run", "jacobi", "--arg", "iters=2"]) == 0
         assert "ok+val" in capsys.readouterr().out
 
     def test_quick_grid_sweep(self, capsys):
