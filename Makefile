@@ -6,17 +6,17 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 # Config lives in pyproject.toml ([tool.ruff]).
 lint:
 	ruff check src tests benchmarks examples
 
 bench:
-	pytest benchmarks/
+	PYTHONPATH=src pytest benchmarks/
 
 bench-only:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # Event-kernel vs tick-kernel speedups; --check gates against the
 # committed BENCH_kernel.json, --obs-check gates disabled-instrumentation
@@ -77,12 +77,13 @@ bench-service:
 trace-demo:
 	PYTHONPATH=src python -m repro.experiments inspect bsp-on-logp-on-network --metrics --trace trace.json
 
-# Fault-resilience slowdown tables (reduced grid; see benchmarks/results/).
+# Fault-resilience slowdown tables (full grid, ~2 s; see benchmarks/results/).
 # PYTHONPATH=src so the target also works without `make install`.
 faults:
-	FAULT_BENCH_SMOKE=1 PYTHONPATH=src pytest benchmarks/bench_fault_resilience.py -q
+	PYTHONPATH=src pytest benchmarks/bench_fault_resilience.py -q
 
-# Every paper table (T1, TH1, P1, TH2, TH3, ST, OB1, WP), a few seconds.
+# Every paper table (T1, TH1, P1, TH2, TH3, ST, OB1, WP), a few seconds:
+# the same tables `make bench` publishes to benchmarks/results/.
 experiments:
 	PYTHONPATH=src python -m repro.experiments run all
 
@@ -90,5 +91,5 @@ examples:
 	for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src python $$ex || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results campaigns build *.egg-info dist-smoke.out workloads-smoke.json
+	rm -rf .pytest_cache .hypothesis campaigns build *.egg-info dist-smoke.out workloads-smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

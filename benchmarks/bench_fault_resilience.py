@@ -14,15 +14,9 @@ fault-free run:
   inflation and recovery-round counts, results bit-identical;
 * store-and-forward routing over lossy links with link-level
   retransmission — h-relation routing-time inflation.
-
-Set ``FAULT_BENCH_SMOKE=1`` (the ``make faults`` target does) for a
-reduced grid that finishes in seconds.
 """
 
 from __future__ import annotations
-
-import os
-
 
 from repro.bsp import BSPMachine
 from repro.faults import FaultPlan, reliable
@@ -39,11 +33,9 @@ from repro.programs import (
 )
 from repro.util.tables import render_table
 
-SMOKE = bool(os.environ.get("FAULT_BENCH_SMOKE"))
-
 LOGP_PARAMS = LogPParams(p=8, L=8, o=1, G=2)
 BSP_PARAMS = BSPParams(p=8, g=2, l=10)
-RATES = (0.0, 0.05, 0.1, 0.2) if SMOKE else (0.0, 0.02, 0.05, 0.1, 0.2, 0.3)
+RATES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3)
 SEED = 1996
 
 
@@ -114,10 +106,9 @@ def test_logp_ack_retransmit_slowdown(publish, benchmark):
 
 
 def test_bsp_checkpoint_retry_slowdown(publish, benchmark):
-    keys = 8 if SMOKE else 16
     kernels = {
         "prefix": bsp_prefix_program(),
-        "sample-sort": bsp_sample_sort_program(keys_per_proc=keys, seed=9),
+        "sample-sort": bsp_sample_sort_program(keys_per_proc=16, seed=9),
     }
     clean = {name: BSPMachine(BSP_PARAMS).run(prog) for name, prog in kernels.items()}
     benchmark.pedantic(
@@ -156,7 +147,7 @@ def test_bsp_checkpoint_retry_slowdown(publish, benchmark):
 
 
 def test_routing_link_faults_slowdown(publish, benchmark):
-    topo = Hypercube(16 if SMOKE else 64)
+    topo = Hypercube(64)
     h = 4
     clean = route_h_relation(topo, h, seed=2)
     benchmark.pedantic(

@@ -1,10 +1,11 @@
 """Experiment ST — the stalling analyses of Sections 2.2 and 3.
 
-Three tables: the hot-spot drain rate (stalling keeps the destination at
-full bandwidth), the adversarial convoy vs the ``O(G h^2)`` worst case,
-and the BSP simulation of *stalling* cycles via sorting (the end-of-§3
-technique), whose per-cycle cost exhibits the ``O(((l+g)/G) log p)``
-flavour (log^2 with our Batcher network).
+The ``ST`` builder's two tables: the hot-spot drain rate (stalling keeps
+the destination at full bandwidth) and the adversarial convoy vs the
+``O(G h^2)`` worst case.  This bench adds the BSP simulation of
+*stalling* cycles via sorting (the end-of-§3 technique), whose
+per-cycle cost exhibits the ``O(((l+g)/G) log p)`` flavour (log^2 with
+our Batcher network), and Section 2.2's buffer anomaly.
 """
 
 from repro.core.stalling import (
@@ -16,45 +17,25 @@ from repro.models.params import BSPParams, LogPParams
 from repro.routing.workloads import random_destinations
 from repro.util.tables import render_table
 
-PARAMS = LogPParams(p=32, L=8, o=1, G=2)  # capacity 4
+EXPERIMENT = "ST"
 
 
-def test_hotspot_report(publish, benchmark):
-    benchmark.pedantic(lambda: measure_hotspot(PARAMS, 16), rounds=1, iterations=1)
-    rows = []
-    for k in (2, 4, 8, 16, 31):
-        rep = measure_hotspot(PARAMS, k)
-        rows.append(
-            (k, rep.makespan, rep.predicted, rep.num_stalls, rep.total_stall_time)
-        )
-        assert rep.makespan <= rep.predicted + PARAMS.G
-    publish(
-        "stalling_hotspot",
-        render_table(
-            ["senders k", "makespan", "G(k-1)+L+2o", "stalls", "stall steps"],
-            rows,
-            title=f"Hot spot under the stalling rule (p={PARAMS.p}, L={PARAMS.L}, o=1, G=2)",
-        ),
-    )
+def test_hotspot_report(paper_tables, publish, benchmark):
+    table = paper_tables["stalling_hotspot"]
+    params = LogPParams(**table.records[0]["params"])
+    benchmark.pedantic(lambda: measure_hotspot(params, 16), rounds=1, iterations=1)
+    for rec in table.records:
+        assert rec["makespan"] <= rec["predicted"] + params.G, rec
+    publish(table.name, table.render())
 
 
-def test_storm_report(publish, benchmark):
-    benchmark.pedantic(lambda: measure_stall_storm(PARAMS, 8), rounds=1, iterations=1)
-    rows = []
-    for h in (2, 4, 8, 16):
-        rep = measure_stall_storm(PARAMS, h)
-        rows.append(
-            (h, rep.makespan, rep.optimal, rep.worst_case_bound, len(rep.result.stalls))
-        )
-        assert rep.makespan <= rep.worst_case_bound
-    publish(
-        "stalling_storm",
-        render_table(
-            ["h", "makespan", "optimal", "O(Gh^2) bound", "stall episodes"],
-            rows,
-            title="Adversarial convoy h-relation (all senders walk the same destinations)",
-        ),
-    )
+def test_storm_report(paper_tables, publish, benchmark):
+    table = paper_tables["stalling_storm"]
+    params = LogPParams(**table.records[0]["params"])
+    benchmark.pedantic(lambda: measure_stall_storm(params, 8), rounds=1, iterations=1)
+    for rec in table.records:
+        assert rec["makespan"] <= rec["bound"], rec
+    publish(table.name, table.render())
 
 
 def test_stalling_cycle_on_bsp_report(publish, benchmark):

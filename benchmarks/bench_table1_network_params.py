@@ -1,67 +1,45 @@
 """Experiment T1 — regenerate **Table 1** of the paper.
 
-For every topology row, route balanced h-relations on the packet
-simulator at two machine sizes, fit ``T(h) = gamma h + delta``, and
-check the *growth* of the fitted parameters against the table's
-asymptotic forms (constants depend on our store-and-forward substrate;
-the paper's claim is the asymptotic class).
+The ``T1`` builder routes balanced h-relations on the packet simulator
+for every topology row at two machine sizes and fits
+``T(h) = gamma h + delta``; this bench publishes its table and checks
+the *growth* of the fitted parameters against the table's asymptotic
+forms (constants depend on our store-and-forward substrate; the paper's
+claim is the asymptotic class).
 """
 
 
 import pytest
 
-from repro.models.cost import TABLE1
 from repro.networks.params import TOPOLOGY_BUILDERS, measure_network_params
 from repro.networks.routing_sim import route_h_relation
 from repro.util.tables import render_table
 
-SIZES = (16, 64)
-HS = (1, 2, 4, 8)
-SEEDS = (0, 1)
-
-
-def _measure(name, p):
-    topo, config = TOPOLOGY_BUILDERS[name](p)
-    return measure_network_params(
-        topo, table_name=name, hs=HS, seeds=SEEDS, config=config
-    )
+EXPERIMENT = "T1"
 
 
 @pytest.fixture(scope="module")
-def survey():
-    return {
-        name: {p: _measure(name, p) for p in SIZES} for name in TOPOLOGY_BUILDERS
-    }
+def survey(paper_tables):
+    """topology -> its fits, in size order (indexed by position: some
+    builders round to their structure's natural size)."""
+    out = {}
+    for rec in paper_tables["table1_network_params"].records:
+        out.setdefault(rec["name"], []).append(rec)
+    return out
 
 
-def test_table1_report(survey, publish, benchmark):
+def test_table1_report(paper_tables, publish, benchmark):
+    topo, config = TOPOLOGY_BUILDERS["hypercube (single-port)"](16)
     benchmark.pedantic(
-        lambda: _measure("hypercube (single-port)", 16), rounds=1, iterations=1
-    )
-    rows = []
-    for name, by_p in survey.items():
-        costs = TABLE1[name]
-        for p, meas in by_p.items():
-            th_g, th_d = meas.theory()
-            rows.append(
-                (
-                    name,
-                    meas.p,
-                    f"{meas.gamma:.2f}",
-                    f"{th_g:.1f} ~ {costs.gamma_expr}",
-                    f"{meas.delta:.2f}",
-                    f"{th_d:.1f} ~ {costs.delta_expr}",
-                    f"{meas.r2:.3f}",
-                )
-            )
-    publish(
-        "table1_network_params",
-        render_table(
-            ["topology", "p", "gamma fit", "gamma Table 1", "delta fit", "delta Table 1", "R^2"],
-            rows,
-            title="Table 1 reproduction: fitted T(h) = gamma h + delta per topology",
+        lambda: measure_network_params(
+            topo, table_name="hypercube (single-port)", hs=(1, 2, 4, 8),
+            seeds=(0, 1), config=config,
         ),
+        rounds=1,
+        iterations=1,
     )
+    table = paper_tables["table1_network_params"]
+    publish(table.name, table.render())
 
 
 def test_gamma_growth_classes(survey):
@@ -70,9 +48,8 @@ def test_gamma_growth_classes(survey):
     log growth for the log p rows."""
 
     def growth(name):
-        g16 = max(survey[name][16].gamma, 0.3)
-        g64 = max(survey[name][64].gamma, 0.3)
-        return g64 / g16
+        small, large = survey[name]
+        return max(large["gamma"], 0.3) / max(small["gamma"], 0.3)
 
     # sqrt(p): x4 in p -> x2 in gamma (allow wide tolerance)
     assert 1.4 <= growth("d-dim array") <= 3.0
@@ -86,15 +63,15 @@ def test_gamma_growth_classes(survey):
 
 
 def test_delta_tracks_diameter(survey):
-    for name, by_p in survey.items():
-        for p, meas in by_p.items():
-            assert meas.delta <= 4.0 * meas.diameter + 4.0
+    for name, fits in survey.items():
+        for meas in fits:
+            assert meas["delta"] <= 4.0 * meas["diameter"] + 4.0, name
 
 
 def test_fit_quality(survey):
-    for name, by_p in survey.items():
-        for meas in by_p.values():
-            assert meas.r2 >= 0.75, f"{name}: poor affine fit (r2={meas.r2})"
+    for name, fits in survey.items():
+        for meas in fits:
+            assert meas["r2"] >= 0.75, f"{name}: poor affine fit (r2={meas['r2']})"
 
 
 def test_d3_array_dimension_dependence(publish):
@@ -111,8 +88,8 @@ def test_d3_array_dimension_dependence(publish):
         meas = measure_network_params(
             topo,
             table_name="d-dim array",
-            hs=HS,
-            seeds=SEEDS,
+            hs=(1, 2, 4, 8),
+            seeds=(0, 1),
             config=RoutingConfig(priority="farthest"),
         )
         gammas[side] = max(meas.gamma, 0.3)

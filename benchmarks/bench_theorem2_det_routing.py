@@ -1,92 +1,48 @@
 """Experiment TH2 — **Theorem 2**: deterministic BSP-on-LogP routing.
 
-Sweeps the relation degree ``h`` through the Section 4.2 protocol as a
-:class:`~repro.campaign.CampaignSpec` (the ``theorem2`` campaign target;
-records flow out of :func:`~repro.campaign.run_campaign`'s result
-store) and compares the measured slowdown against the paper's
-``S(L, G, p, h)``: ``O(log p)`` for small ``h``, approaching ``O(1)``
-as ``h`` grows (the ``h = Omega(p^eps + L log p)`` regime), with the
-sorting phase dominating exactly where the paper says it does.
+The ``TH2`` builder sweeps the relation degree ``h`` through the Section
+4.2 protocol over the ``th2-grid`` campaign spec (the ``theorem2``
+target; one record per point) and this bench compares the measured
+slowdown against the paper's ``S(L, G, p, h)``: ``O(log p)`` for small
+``h``, approaching ``O(1)`` as ``h`` grows (the ``h = Omega(p^eps + L
+log p)`` regime), with the sorting phase dominating exactly where the
+paper says it does.
 """
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign, run_point
-from repro.models.params import LogPParams
+from repro.campaign import run_point
+from repro.campaign.builtin import TH2_GRID as SPEC
 from repro.util.tables import render_table
 
-PARAMS = LogPParams(p=16, L=8, o=1, G=2)
-# The sweep crosses the scheme boundary: for r >= 2(p-1)^2 = 450 the
-# protocol switches from the bitonic network (AKS stand-in, O(log^2 p)
-# rounds) to Columnsort (Cubesort stand-in, constant rounds) — the
-# paper's small-r/large-r regime change.
-HS = (1, 2, 4, 8, 16, 32, 64, 256, 512)
-
-SPEC = CampaignSpec(
-    name="bench-theorem2",
-    target="theorem2",
-    grid=(("h", HS),),
-    base={"p": PARAMS.p, "L": PARAMS.L, "o": PARAMS.o, "G": PARAMS.G},
-    seeds=(1,),
-    description="Theorem 2 h-sweep: deterministic routing slowdown vs S(L,G,p,h)",
-)
+EXPERIMENT = "TH2"
 
 
 @pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    report = run_campaign(
-        SPEC, store_dir=tmp_path_factory.mktemp("bench-theorem2"), parallel=2
-    )
-    assert report.failed == 0 and not report.interrupted
-    records = report.records()
+def sweep(paper_tables):
+    records = paper_tables["theorem2_det_routing"].records
     assert len(records) == len(SPEC)
-    return {point["h"]: rec for point, rec in zip(SPEC.points(), records)}
+    return {rec["h"]: rec for rec in records}
 
 
-def test_theorem2_report(sweep, publish, publish_json, benchmark):
+def test_theorem2_report(paper_tables, publish, publish_json, benchmark):
     benchmark.pedantic(
         lambda: run_point("theorem2", {**dict(SPEC.base), "h": 8, "seed": 99}),
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for h, rec in sweep.items():
-        rows.append(
-            (
-                h,
-                rec["scheme"],
-                rec["total_time"],
-                rec["t_sort"],
-                rec["t_cycles"],
-                rec["ideal"],
-                f"{rec['observed_slowdown']:.1f}",
-                f"{rec['predicted_slowdown']:.1f}",
-            )
-        )
-    publish(
-        "theorem2_det_routing",
-        render_table(
-            ["h", "scheme", "T total", "T sort", "T cycles", "2o+G(h-1)+L", "T/(Gh+L)", "paper S"],
-            rows,
-            title=(
-                f"Theorem 2: deterministic h-relation routing on LogP "
-                f"(p={PARAMS.p}, L={PARAMS.L}, o={PARAMS.o}, G={PARAMS.G}); stall-free"
-            ),
-        ),
-    )
-    publish_json(
-        "theorem2_det_routing",
-        {"campaign": SPEC.as_dict(), "records": list(sweep.values())},
-    )
+    table = paper_tables["theorem2_det_routing"]
+    publish(table.name, table.render())
+    publish_json(table.name, {"campaign": SPEC.as_dict(), "records": table.records})
 
 
 def test_slowdown_decreases_with_h(sweep):
     """The crossover shape: per-unit cost falls as h grows, with a
     visible drop when the large-r scheme (Columnsort) takes over."""
-    ratios = [sweep[h]["observed_slowdown"] for h in HS]
+    ratios = [rec["observed_slowdown"] for rec in sweep.values()]
     assert ratios[-1] < 0.65 * ratios[0]
     # the scheme switch happens inside the sweep
-    schemes = [sweep[h]["scheme"] for h in HS]
+    schemes = [rec["scheme"] for rec in sweep.values()]
     assert "bitonic" in schemes and "columnsort" in schemes
 
 
@@ -97,7 +53,7 @@ def test_protocol_discovers_degree(sweep):
 
 def test_sort_dominates_small_h_cycles_dominate_large_h(sweep):
     assert sweep[1]["t_sort"] > sweep[1]["t_cycles"]
-    assert sweep[64]["t_cycles"] >= 0.5 * (PARAMS.G * 64)
+    assert sweep[64]["t_cycles"] >= 0.5 * (dict(SPEC.base)["G"] * 64)
 
 
 def test_small_h_slowdown_grows_polylog_in_p(publish):
@@ -131,9 +87,9 @@ def test_large_h_within_constant_of_optimal(sweep):
     """For h large the protocol's time approaches O(Gh + L): the
     measured/optimal ratio must be bounded (paper: S = O(1) there;
     Columnsort's 4 half-again-sized rounds put the constant near ~15)."""
-    h = HS[-1]
+    h = max(sweep)
     assert sweep[h]["total_time"] / sweep[h]["ideal"] <= 20.0
     # and strictly better than what the log^2 p network scheme gives at
     # the largest h it is still selected for
-    h_bitonic = max(h for h in HS if sweep[h]["scheme"] == "bitonic")
-    assert sweep[HS[-1]]["observed_slowdown"] < sweep[h_bitonic]["observed_slowdown"]
+    h_bitonic = max(h for h, rec in sweep.items() if rec["scheme"] == "bitonic")
+    assert sweep[h]["observed_slowdown"] < sweep[h_bitonic]["observed_slowdown"]

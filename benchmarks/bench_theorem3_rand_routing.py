@@ -1,10 +1,11 @@
 """Experiment TH3 — **Theorem 3**: randomized routing of known-degree
 h-relations.
 
-Regenerates the theorem's trade-off: with ``R = (1 + beta) h / ceil(L/G)``
-batches the protocol is stall-free w.h.p. and finishes in ``O(G h)``;
-shrinking R accelerates the round phase but raises the stall probability.
-Also reports the paper's own (astronomically conservative) constants.
+The ``TH3`` builder regenerates the theorem's trade-off: with
+``R = (1 + beta) h / ceil(L/G)`` batches the protocol is stall-free
+w.h.p. and finishes in ``O(G h)``; shrinking R accelerates the round
+phase but raises the stall probability.  Its last row runs the paper's
+own (astronomically conservative) constants.
 """
 
 import pytest
@@ -13,97 +14,64 @@ from repro.core.rand_routing import measure_rand_routing
 from repro.models.cost import theorem3_failure_bound
 from repro.models.params import LogPParams
 from repro.routing.workloads import balanced_h_relation
-from repro.util.tables import render_table
 
-# Theorem hypothesis: ceil(L/G) >= c1 log p -> capacity 8 = 2 log2(16).
-PARAMS = LogPParams(p=16, L=16, o=1, G=2)
-H = 16
-R_GRID = (2, 4, 8, 16)
-SEEDS = tuple(range(10))
+EXPERIMENT = "TH3"
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    pairs = balanced_h_relation(PARAMS.p, H, seed=123)
-    out = {}
-    for R in R_GRID:
-        runs = [measure_rand_routing(PARAMS, pairs, seed=s, R=R) for s in SEEDS]
-        out[R] = runs
-    return out
+def records(paper_tables):
+    return paper_tables["theorem3_rand_routing"].records
 
 
-def test_theorem3_report(sweep, publish, benchmark):
-    pairs = balanced_h_relation(PARAMS.p, H, seed=123)
+@pytest.fixture(scope="module")
+def sweep(records):
+    """R -> the R-grid row's record (the paper-constants row excluded)."""
+    return {rec["R"]: rec for rec in records if not rec["paper_constants"]}
+
+
+def _params(rec) -> LogPParams:
+    return LogPParams(**rec["params"])
+
+
+def test_theorem3_report(paper_tables, records, publish, benchmark):
+    params = _params(records[0])
+    pairs = balanced_h_relation(params.p, records[0]["h"], seed=123)
     benchmark.pedantic(
-        lambda: measure_rand_routing(PARAMS, pairs, seed=0, R=8), rounds=1, iterations=1
+        lambda: measure_rand_routing(params, pairs, seed=0, R=8), rounds=1, iterations=1
     )
-    rows = []
-    for R, runs in sweep.items():
-        stalled = sum(r.stalled for r in runs)
-        clean = sum(r.clean for r in runs)
-        tmax = max(r.total_time for r in runs)
-        rows.append(
-            (
-                R,
-                f"{R * PARAMS.capacity / H:.1f}",
-                f"{stalled}/{len(runs)}",
-                f"{clean}/{len(runs)}",
-                tmax,
-                2 * (PARAMS.L + PARAMS.o) * R,
-                PARAMS.G * H,
-            )
-        )
-    # The paper's constants for reference (c1 = c2 = 1).
-    m_paper = measure_rand_routing(PARAMS, pairs, seed=0)
-    rows.append(
-        (
-            m_paper.plan.R,
-            f"{m_paper.plan.R * PARAMS.capacity / H:.0f}",
-            "0/1",
-            "1/1",
-            m_paper.total_time,
-            int(m_paper.time_bound),
-            PARAMS.G * H,
-        )
-    )
-    publish(
-        "theorem3_rand_routing",
-        render_table(
-            ["R", "(1+beta)", "stalled", "clean", "T max", "2(L+o)R bound", "G h"],
-            rows,
-            title=(
-                f"Theorem 3: randomized h-relation routing "
-                f"(p={PARAMS.p}, h={H}, capacity={PARAMS.capacity}, {len(SEEDS)} seeds; "
-                f"last row = paper's c1=c2=1 constants)"
-            ),
-        ),
-    )
-    assert m_paper.clean  # paper constants: overwhelming success probability
+    table = paper_tables["theorem3_rand_routing"]
+    publish(table.name, table.render())
+    (paper,) = [rec for rec in records if rec["paper_constants"]]
+    # paper constants: overwhelming success probability
+    assert all(run["clean"] for run in paper["runs"])
 
 
 def test_stall_probability_monotone_in_R(sweep):
-    stall_counts = {R: sum(r.stalled for r in runs) for R, runs in sweep.items()}
+    stall_counts = {R: sum(r["stalled"] for r in rec["runs"]) for R, rec in sweep.items()}
     assert stall_counts[16] <= stall_counts[8] <= stall_counts[4] <= stall_counts[2]
 
 
 def test_adequate_R_mostly_clean(sweep):
-    assert sum(r.clean for r in sweep[16]) >= 9
+    assert len(sweep[16]["runs"]) == 10
+    assert sum(r["clean"] for r in sweep[16]["runs"]) >= 9
 
 
 def test_time_linear_in_R_when_clean(sweep):
-    for R, runs in sweep.items():
-        for r in runs:
-            if r.clean:
-                assert r.total_time <= 2 * (PARAMS.L + PARAMS.o) * R + 8 * PARAMS.L
+    for R, rec in sweep.items():
+        params = _params(rec)
+        for r in rec["runs"]:
+            if r["clean"]:
+                assert r["total_time"] <= 2 * (params.L + params.o) * R + 8 * params.L
 
 
 def test_chernoff_bound_conservative(sweep):
     """Empirical stall frequency must not exceed the analytic bound
     (evaluated at the effective beta of each R)."""
-    for R, runs in sweep.items():
-        beta_hat = R * PARAMS.capacity / H - 1.0
+    for R, rec in sweep.items():
+        params, h = _params(rec), rec["h"]
+        beta_hat = R * params.capacity / h - 1.0
         if beta_hat <= 0:
             continue  # bound vacuous
-        bound = theorem3_failure_bound(H, PARAMS, beta_hat)
-        freq = sum(r.stalled for r in runs) / len(runs)
+        bound = theorem3_failure_bound(h, params, beta_hat)
+        freq = sum(r["stalled"] for r in rec["runs"]) / len(rec["runs"])
         assert freq <= bound + 0.35  # finite-sample slack

@@ -3,70 +3,49 @@ Theorem 1 simulation.
 
 Ramachandran et al. observed that the stall-free-LogP-on-BSP simulation
 "can be immediately made work-preserving while maintaining the same
-slowdown": host p/p' LogP processors per BSP processor.  The table shows
-the processor-time product p' * T_BSP falling toward the sequential work
-as p' shrinks, while per-host slowdown follows (p/p') * O(1 + g/G + l/L).
+slowdown": host p/p' LogP processors per BSP processor.  The ``WP``
+builder's table shows the processor-time product p' * T_BSP falling
+toward the sequential work as p' shrinks, while per-host slowdown
+follows (p/p') * O(1 + g/G + l/L).
 """
 
 import pytest
 
 from repro import Stack
 from repro.models.params import LogPParams
-from repro.programs import logp_alltoall_program, logp_sum_program
-from repro.util.tables import render_table
+from repro.programs import logp_sum_program
 
-PARAMS = LogPParams(p=16, L=8, o=1, G=2)
-HOSTS = (16, 8, 4, 2, 1)
+EXPERIMENT = "WP"
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(paper_tables):
     out = {}
-    for kernel_name, kernel in (("sum", logp_sum_program), ("alltoall", logp_alltoall_program)):
-        for bsp_p in HOSTS:
-            rep = Stack(kernel(), model="logp", params=PARAMS).on_bsp(p=bsp_p).run()
-            assert rep.outputs_match
-            out[(kernel_name, bsp_p)] = rep
+    for rec in paper_tables["workpreserving"].records:
+        assert rec["outputs_match"], rec
+        out[(rec["kernel"], rec["bsp_p"])] = rec
     return out
 
 
-def test_workpreserving_report(sweep, publish, benchmark):
+def test_workpreserving_report(paper_tables, publish, benchmark):
     benchmark.pedantic(
-        lambda: Stack(logp_sum_program(), model="logp", params=PARAMS)
+        lambda: Stack(logp_sum_program(), model="logp", params=LogPParams(p=16, L=8, o=1, G=2))
         .on_bsp(p=4)
         .run(),
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for (kernel, bsp_p), rep in sweep.items():
-        rows.append(
-            (
-                kernel,
-                bsp_p,
-                PARAMS.p // bsp_p,
-                rep.bsp.total_cost,
-                rep.work,
-                f"{rep.slowdown:.1f}",
-                f"{rep.predicted_slowdown:.1f}",
-            )
-        )
-    publish(
-        "workpreserving",
-        render_table(
-            ["kernel", "p'", "charges/host", "T_BSP", "work p'*T", "slowdown", "(p/p')(1+g/G+l/L)"],
-            rows,
-            title=f"Work-preserving Theorem 1 (footnote 1): LogP p={PARAMS.p} on p' BSP processors",
-        ),
-    )
+    table = paper_tables["workpreserving"]
+    publish(table.name, table.render())
 
 
 def test_work_monotone(sweep):
     for kernel in ("sum", "alltoall"):
-        works = [sweep[(kernel, b)].work for b in HOSTS]
+        works = [rec["work"] for (k, _b), rec in sweep.items() if k == kernel]
+        assert len(works) == 5, kernel
         assert all(a >= b for a, b in zip(works, works[1:])), kernel
 
 
 def test_slowdown_under_scaled_prediction(sweep):
-    for key, rep in sweep.items():
-        assert rep.slowdown <= rep.predicted_slowdown * 1.05, key
+    for key, rec in sweep.items():
+        assert rec["slowdown"] <= rec["predicted_slowdown"] * 1.05, key

@@ -1,10 +1,14 @@
 """Benchmark-harness plumbing.
 
 Every bench regenerates one of the paper's quantitative artifacts (see
-the experiment index in DESIGN.md), prints it as a table, and appends it
+the experiment index in DESIGN.md), prints it as a table, and writes it
 to ``benchmarks/results/<name>.txt`` so the numbers survive the run.
-pytest-benchmark wraps a representative kernel of each experiment so the
-suite also tracks wall-clock performance of the simulators themselves.
+The eight paper tables (T1, TH1, P1, TH2, TH3, ST, OB1, WP) come from
+their :data:`repro.experiments.EXPERIMENTS` builder — the records that
+``python -m repro.experiments run <id>`` renders — through the
+:func:`paper_tables` fixture.  pytest-benchmark wraps a representative
+kernel of each experiment so the suite also tracks wall-clock
+performance of the simulators themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +24,16 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="module")
+def paper_tables(request) -> dict:
+    """Build the bench module's ``EXPERIMENT`` id once; its tables keyed
+    by results-file name."""
+    from repro.experiments import EXPERIMENTS
+
+    _desc, build = EXPERIMENTS[request.module.EXPERIMENT]
+    return {table.name: table for table in build()}
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """Built-in campaign specs: the paper's sweeps, declared once.
 
-These are the grids the benchmarks and the CLI share (``python -m
-repro.experiments campaign <name>``).  Each is a plain
-:class:`~repro.campaign.spec.CampaignSpec`; benchmarks wrap them rather
-than re-looping, so a sweep's definition lives in exactly one place.
+Each is a plain :class:`~repro.campaign.spec.CampaignSpec`.  Those in
+:data:`CAMPAIGNS` run by name (``python -m repro.experiments campaign
+<name>``); :data:`TH1_TABLE` and ``th2-grid`` are also the grids of the
+TH1 and TH2 paper tables, which ``run TH1``/``run TH2`` and their
+benches render from the same records.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import itertools
 
 from repro.campaign.spec import CampaignSpec
 
-__all__ = ["CAMPAIGNS", "SAMPLE_SORT_GRID", "SORTING_REGIMES", "theorem1_spec"]
+__all__ = [
+    "CAMPAIGNS",
+    "SAMPLE_SORT_GRID",
+    "SORTING_REGIMES",
+    "TH1_TABLE",
+    "TH2_GRID",
+    "theorem1_spec",
+]
 
 
 def theorem1_spec(
@@ -53,31 +61,26 @@ TH1_GRID = theorem1_spec(
     description="Theorem 1: LogP-on-BSP slowdown across g/l scalings (24 points)",
 )
 
-#: Theorem 2 across relation degrees and machine sizes; the sweep
-#: crosses the bitonic/columnsort scheme boundary.
+#: The TH1 paper table: 3 kernels x g/G, l/L in {1, 4, 8} = 27 points.
+TH1_TABLE = theorem1_spec(
+    "TH1",
+    ("ring", "sum", "alltoall"),
+    itertools.product((1, 4, 8), (1, 4, 8)),
+    description="Theorem 1 slowdown grid: LogP kernels on scaled BSP hosts",
+)
+
+#: Theorem 2 across relation degrees, and the TH2 paper table.  The
+#: sweep crosses the scheme boundary: for r >= 2(p-1)^2 = 450 the
+#: protocol switches from the bitonic network (AKS stand-in, O(log^2 p)
+#: rounds) to Columnsort (Cubesort stand-in, constant rounds) — the
+#: paper's small-r/large-r regime change.
 TH2_GRID = CampaignSpec(
     name="th2-grid",
     target="theorem2",
-    grid=(
-        ("p", (8, 16)),
-        ("h", (1, 4, 16, 64, 256)),
-    ),
-    base=(("L", 8), ("o", 1), ("G", 2)),
-    seeds=(1, 2),
-    description="Theorem 2: deterministic routing slowdown vs S(L,G,p,h) (20 points)",
-)
-
-#: Propositions 1/2 across machine sizes and (L, G) regimes.
-CB_GRID = CampaignSpec(
-    name="cb-grid",
-    target="cb",
-    grid=(
-        ("p", (8, 64, 512)),
-        ("L", (8, 16)),
-        ("G", (2, 8)),
-    ),
-    base=(("o", 1),),
-    description="Propositions 1/2: Combine-and-Broadcast cost bounds (12 points)",
+    grid=(("h", (1, 2, 4, 8, 16, 32, 64, 256, 512)),),
+    base=(("p", 16), ("L", 8), ("o", 1), ("G", 2)),
+    seeds=(1,),
+    description="Theorem 2: deterministic routing slowdown vs S(L,G,p,h) (9 points)",
 )
 
 #: CI smoke: the Theorem 1 grid trimmed to seconds of work.
@@ -121,7 +124,6 @@ CAMPAIGNS: dict[str, CampaignSpec] = {
     for spec in (
         TH1_GRID,
         TH2_GRID,
-        CB_GRID,
         TH1_SMOKE,
         SAMPLE_SORT_GRID,
         SORTING_REGIMES,

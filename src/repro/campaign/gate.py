@@ -9,7 +9,7 @@ compares the fitted shape against a committed baseline:
   values (least squares ``observed ≈ slope · predicted + intercept``) —
   a theorem that holds sweeps out with slope near the baseline's and the
   same ok-fraction under its :class:`~repro.obs.check.CostResidual`
-  kind (exact/upper/estimate/factor);
+  kind (exact/upper/factor);
 * a gate **fails** when a residual family disappears, its ok-fraction
   drops, or its slope / mean ratio drifts outside the tolerance band —
   the signature of a simulator change bending a measured curve away

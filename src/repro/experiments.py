@@ -2,9 +2,12 @@
 
 ``python -m repro.experiments list`` shows the experiment ids (matching
 DESIGN.md's index) and the built-in campaign names; ``python -m
-repro.experiments run <id> [...]`` or ``run all`` prints the
-corresponding tables (``--parallel N`` shards the ids over worker
-processes).  ``python -m repro.experiments inspect <chain>`` runs one
+repro.experiments run <id> [...]`` or ``run all`` prints the id's
+tables.  Each id in :data:`EXPERIMENTS` is one builder that sweeps the
+table's grid and returns its records and rendered tables; the pytest
+bench for the id (``benchmarks/bench_*.py``) publishes the same tables
+to ``benchmarks/results/`` and asserts on the same records.
+``python -m repro.experiments inspect <chain>`` runs one
 :class:`~repro.engine.request.RunRequest` — named by the same flags as
 ``request`` — through its :class:`~repro.engine.stack.Stack` chain
 (``bsp-on-logp-on-network``, ``logp-on-bsp``, ...) and prints its
@@ -16,10 +19,10 @@ multiprocessing pool (``--parallel``, ``--resume``, ``--force``,
 
 Shared flags (``run`` and ``inspect``):
 
-* ``--json`` — emit one machine-readable JSON document per experiment
-  alongside each pretty table, rows built on the shared
-  :meth:`~repro.engine.result.MachineResult.as_row` projection where the
-  underlying reports provide it;
+* ``--json`` — emit one machine-readable JSON document per table
+  after it, its rows the table's records (for TH1 the ``request``
+  target's records, built on the shared
+  :meth:`~repro.engine.result.MachineResult.as_row` projection);
 * ``--metrics`` — attach an :class:`~repro.obs.Observation` and print
   its metric registry after the run;
 * ``--trace OUT.json`` — additionally record layer-labelled spans and
@@ -30,17 +33,12 @@ Shared flags (``run`` and ``inspect``):
 Input errors — a malformed ``K=V`` item, a request the schema rejects,
 an unknown name — end every subcommand the same way: one
 ``<subcommand>: <message>`` line on stderr and exit status 2.
-
-The pytest benchmarks in ``benchmarks/`` run the same code with shape
-assertions and persistence; this runner is the zero-dependency way to
-eyeball results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -54,21 +52,21 @@ __all__ = ["main", "EXPERIMENTS", "ExperimentTable"]
 
 @dataclass
 class ExperimentTable:
-    """One experiment's outcome: a pretty table plus machine-readable rows.
+    """One published paper table: the pretty table plus its records.
 
-    ``rows`` holds the display tuples exactly as :func:`render_table`
-    shows them; ``records``, when supplied, holds richer per-row dicts —
-    typically a :meth:`MachineResult.as_row` projection merged with the
-    experiment's configuration axes.  When absent, records are derived
-    by zipping the display columns.  ``extras`` holds pre-rendered
-    blocks (cost-check reports, ...) printed after the main table.
+    ``name`` is the table's results file (``benchmarks/results/<name>.txt``
+    holds :meth:`render` verbatim); ``rows`` are the display tuples and
+    ``records`` one dict per row, carrying every quantity the table's
+    bench asserts on — for TH1, P1 and TH2 the campaign target's record,
+    ``cost_check`` included.  ``extras`` holds pre-rendered blocks (a
+    cost-check report) printed after the table.
     """
 
-    id: str
+    name: str
     title: str
     columns: list[str]
     rows: list[tuple]
-    records: list[dict] | None = field(default=None)
+    records: list[dict]
     extras: list[str] = field(default_factory=list)
 
     def render(self) -> str:
@@ -77,18 +75,18 @@ class ExperimentTable:
             out += "\n\n" + block
         return out
 
-    def as_json(self) -> dict:
-        records = self.records
-        if records is None:
-            records = [dict(zip(self.columns, row)) for row in self.rows]
-        return {"id": self.id, "title": self.title, "rows": records}
+
+def _logp_dict(params) -> dict:
+    return {"p": params.p, "L": params.L, "o": params.o, "G": params.G}
 
 
-def _exp_table1(obs=None) -> ExperimentTable:
+def _table1(obs=None) -> list[ExperimentTable]:
+    from dataclasses import asdict
+
     from repro.models.cost import TABLE1
     from repro.networks.params import TOPOLOGY_BUILDERS, measure_network_params
 
-    rows = []
+    rows, records = [], []
     for name, builder in TOPOLOGY_BUILDERS.items():
         for p in (16, 64):
             topo, config = builder(p)
@@ -98,234 +96,245 @@ def _exp_table1(obs=None) -> ExperimentTable:
             )
             th_g, th_d = meas.theory()
             costs = TABLE1[name]
-            rows.append(
-                (
-                    name,
-                    meas.p,
-                    f"{meas.gamma:.2f}",
-                    f"{th_g:.1f} ~ {costs.gamma_expr}",
-                    f"{meas.delta:.2f}",
-                    f"{th_d:.1f} ~ {costs.delta_expr}",
-                )
-            )
-    return ExperimentTable(
-        "T1",
-        "T1 — Table 1: fitted T(h) = gamma h + delta per topology",
-        ["topology", "p", "gamma fit", "gamma Table 1", "delta fit", "delta Table 1"],
-        rows,
-    )
+            rows.append((
+                name, meas.p,
+                f"{meas.gamma:.2f}", f"{th_g:.1f} ~ {costs.gamma_expr}",
+                f"{meas.delta:.2f}", f"{th_d:.1f} ~ {costs.delta_expr}",
+                f"{meas.r2:.3f}",
+            ))
+            records.append(asdict(meas))
+    return [ExperimentTable(
+        "table1_network_params",
+        "Table 1 reproduction: fitted T(h) = gamma h + delta per topology",
+        ["topology", "p", "gamma fit", "gamma Table 1", "delta fit",
+         "delta Table 1", "R^2"],
+        rows, records,
+    )]
 
 
-def _exp_theorem1(obs=None) -> ExperimentTable:
-    """Four Theorem-1 ``request`` points — the all-to-all kernel on the
-    matched and scaled BSP hosts — run through the same target and
-    spec builder as the ``th1-grid`` campaign, so the table's records
-    are that campaign's records."""
+def _theorem1(obs=None) -> list[ExperimentTable]:
+    """The ``TH1_TABLE`` request points — LogP kernels on scaled BSP
+    hosts — through the ``request`` target, so each record carries its
+    cost check; the matched machine's check is printed in full."""
     from repro.campaign import run_point
-    from repro.campaign.builtin import theorem1_spec
+    from repro.campaign.builtin import TH1_TABLE
     from repro.obs.check import CostCheckReport
     from repro.util.intmath import ceil_div
 
-    spec = theorem1_spec("TH1", ("alltoall",), ((1, 1), (4, 1), (1, 4), (4, 4)))
-    rows = []
-    records = []
-    extras = []
-    for point in spec.points():
-        rec = run_point(spec.target, point, obs=obs)
+    rows, records, extras = [], [], []
+    for point in TH1_TABLE.points():
+        rec = run_point(TH1_TABLE.target, point, obs=obs)
         params = point["params"]
         check = CostCheckReport.from_dict(rec["cost_check"])
-        rows.append(
-            (
-                f"g={params['g']}, l={params['l']}",
-                rec["windows"],
-                rec["max_window_h"],
-                ceil_div(params["L"], params["G"]),
-                f"{rec['slowdown']:.2f}",
-                f"{rec['predicted_slowdown']:.2f}",
-                rec["outputs_match"],
-                check.ok(),
-            )
-        )
+        rows.append((
+            point["program"], f"g={params['g']}", f"l={params['l']}",
+            rec["windows"], rec["max_window_h"],
+            ceil_div(params["L"], params["G"]),
+            f"{rec['slowdown']:.2f}", f"{rec['predicted_slowdown']:.2f}",
+            check.ok(),
+        ))
         records.append(rec)
-        if not extras:  # full residual detail for the matched machine
+        if not extras:  # the first point runs on the matched machine
             extras.append(check.render())
-    return ExperimentTable(
-        "TH1",
-        "TH1 — Theorem 1: stall-free LogP (all-to-all) on BSP  [LogP p=16, L=8, o=1, G=2]",
-        ["BSP machine", "cycles", "max h", "ceil(L/G)", "slowdown", "predicted",
-         "outputs match", "residuals ok"],
-        rows,
-        records=records,
-        extras=extras,
-    )
+    p, guest = point["p"], point["params"]  # every point has the same guest
+    return [ExperimentTable(
+        "theorem1_logp_on_bsp",
+        f"Theorem 1: LogP(p={p}, L={guest['L']}, o={guest['o']}, "
+        f"G={guest['G']}) simulated on BSP",
+        ["kernel", "BSP g", "BSP l", "cycles", "max h", "ceil(L/G)",
+         "slowdown", "O(1+g/G+l/L)", "residuals ok"],
+        rows, records, extras,
+    )]
 
 
-def _exp_cb(obs=None) -> ExperimentTable:
-    from repro.core.cb import measure_cb
-    from repro.models.cost import cb_time_lower, cb_time_upper
-    from repro.models.params import LogPParams
+def _cb(obs=None) -> list[ExperimentTable]:
+    from repro.campaign import run_point
 
-    rows = []
-    for p in (8, 64, 512):
-        for L, G in ((8, 8), (8, 2), (16, 2)):
-            params = LogPParams(p=p, L=L, o=1, G=G)
-            m = measure_cb(params, [1] * p, operator.add, op_cost=0)
-            rows.append(
-                (
-                    p,
-                    params.capacity,
-                    m.t_cb,
-                    f"{cb_time_lower(params):.0f}",
-                    f"{cb_time_upper(params):.0f}",
-                )
-            )
-    return ExperimentTable(
-        "P1",
-        "P1 — Propositions 1/2: Combine-and-Broadcast cost (o=1)",
-        ["p", "ceil(L/G)", "T_CB", "Prop1 lower", "paper upper"],
-        rows,
-    )
+    rows, records = [], []
+    for p in (8, 32, 128, 512):
+        for L, G in ((8, 8), (8, 4), (8, 2), (16, 2)):  # capacities 1, 2, 4, 8
+            rec = run_point("cb", {"p": p, "L": L, "o": 1, "G": G})
+            rows.append((
+                p, L, G, rec["capacity"], rec["t_cb"],
+                f"{rec['lower']:.0f}", f"{rec['upper']:.0f}",
+                f"{rec['t_cb'] / rec['upper']:.2f}" if rec["upper"] else "-",
+            ))
+            records.append(rec)
+    return [ExperimentTable(
+        "cb_synchronization",
+        "Combine-and-Broadcast: measured vs paper bounds (o=1)",
+        ["p", "L", "G", "ceil(L/G)", "T_CB meas", "Prop1 lower",
+         "3(L+o)logp/log(1+C)", "meas/upper"],
+        rows, records,
+    )]
 
 
-def _exp_theorem2(obs=None) -> ExperimentTable:
-    from repro.core.det_routing import measure_det_routing
-    from repro.models.cost import t_route_small
-    from repro.models.params import LogPParams
-    from repro.routing.workloads import balanced_h_relation
+def _theorem2(obs=None) -> list[ExperimentTable]:
+    from repro.campaign import run_point
+    from repro.campaign.builtin import TH2_GRID
 
-    params = LogPParams(p=16, L=8, o=1, G=2)
-    rows = []
-    for h in (1, 4, 16, 64, 256, 512):
-        m = measure_det_routing(params, balanced_h_relation(params.p, h, seed=h))
-        rows.append(
-            (
-                h,
-                m.outcomes[0].sort_scheme,
-                m.total_time,
-                t_route_small(h, params),
-                f"{m.total_time / (params.G * h + params.L):.1f}",
-            )
-        )
-    return ExperimentTable(
-        "TH2",
-        "TH2 — Theorem 2: deterministic h-relation routing (p=16, L=8, o=1, G=2)",
-        ["h", "scheme", "T total", "optimal", "T/(Gh+L)"],
-        rows,
-    )
+    records = [run_point(TH2_GRID.target, point) for point in TH2_GRID.points()]
+    rows = [
+        (rec["h"], rec["scheme"], rec["total_time"], rec["t_sort"],
+         rec["t_cycles"], rec["ideal"], f"{rec['observed_slowdown']:.1f}",
+         f"{rec['predicted_slowdown']:.1f}")
+        for rec in records
+    ]
+    base = dict(TH2_GRID.base)
+    return [ExperimentTable(
+        "theorem2_det_routing",
+        f"Theorem 2: deterministic h-relation routing on LogP (p={base['p']}, "
+        f"L={base['L']}, o={base['o']}, G={base['G']}); stall-free",
+        ["h", "scheme", "T total", "T sort", "T cycles", "2o+G(h-1)+L",
+         "T/(Gh+L)", "paper S"],
+        rows, records,
+    )]
 
 
-def _exp_theorem3(obs=None) -> ExperimentTable:
+def _theorem3(obs=None) -> list[ExperimentTable]:
     from repro.core.rand_routing import measure_rand_routing
     from repro.models.params import LogPParams
     from repro.routing.workloads import balanced_h_relation
 
+    # Theorem hypothesis: ceil(L/G) >= c1 log p -> capacity 8 = 2 log2(16).
     params = LogPParams(p=16, L=16, o=1, G=2)
-    pairs = balanced_h_relation(params.p, 16, seed=123)
-    rows = []
-    for R in (2, 4, 8, 16):
-        runs = [measure_rand_routing(params, pairs, seed=s, R=R) for s in range(6)]
-        rows.append(
-            (
-                R,
-                f"{sum(r.stalled for r in runs)}/6",
-                f"{sum(r.clean for r in runs)}/6",
-                max(r.total_time for r in runs),
-                params.G * 16,
-            )
-        )
-    return ExperimentTable(
-        "TH3",
-        "TH3 — Theorem 3: randomized routing, stall probability vs batch budget",
-        ["R", "stalled", "clean", "T max", "G h"],
-        rows,
-    )
+    h, seeds = 16, range(10)
+    pairs = balanced_h_relation(params.p, h, seed=123)
+    rows, records = [], []
+    # R=None last: the paper's own constants (c1 = c2 = 1), one seed.
+    for R in (2, 4, 8, 16, None):
+        run_seeds = seeds if R else (0,)
+        runs = [measure_rand_routing(params, pairs, seed=s, R=R) for s in run_seeds]
+        plan_R = runs[0].plan.R
+        stalled = sum(r.stalled for r in runs)
+        clean = sum(r.clean for r in runs)
+        beta = plan_R * params.capacity / h
+        rows.append((
+            plan_R, f"{beta:.1f}" if R else f"{beta:.0f}",
+            f"{stalled}/{len(runs)}", f"{clean}/{len(runs)}",
+            max(r.total_time for r in runs),
+            2 * (params.L + params.o) * R if R else int(runs[0].time_bound),
+            params.G * h,
+        ))
+        records.append({
+            "R": plan_R, "paper_constants": R is None, "h": h,
+            "params": _logp_dict(params),
+            "runs": [
+                {"seed": s, "stalled": r.stalled, "clean": r.clean,
+                 "total_time": r.total_time}
+                for s, r in zip(run_seeds, runs)
+            ],
+        })
+    return [ExperimentTable(
+        "theorem3_rand_routing",
+        f"Theorem 3: randomized h-relation routing (p={params.p}, h={h}, "
+        f"capacity={params.capacity}, {len(seeds)} seeds; last row = paper's "
+        f"c1=c2=1 constants)",
+        ["R", "(1+beta)", "stalled", "clean", "T max", "2(L+o)R bound", "G h"],
+        rows, records,
+    )]
 
 
-def _exp_stalling(obs=None) -> ExperimentTable:
+def _stalling(obs=None) -> list[ExperimentTable]:
     from repro.core.stalling import measure_hotspot, measure_stall_storm
     from repro.models.params import LogPParams
 
-    params = LogPParams(p=32, L=8, o=1, G=2)
-    rows = []
-    for k in (4, 8, 16, 31):
-        rep = measure_hotspot(params, k)
-        rows.append(("hot spot", k, rep.makespan, rep.predicted, rep.num_stalls))
-    for h in (4, 8, 16):
-        rep = measure_stall_storm(params, h)
-        rows.append(("convoy", h, rep.makespan, rep.worst_case_bound, len(rep.result.stalls)))
-    return ExperimentTable(
-        "ST",
-        "ST — stalling: hot-spot drain rate and the O(Gh^2) worst case (p=32, L=8, o=1, G=2)",
-        ["workload", "k / h", "makespan", "bound", "stalls"],
-        rows,
-    )
+    params = LogPParams(p=32, L=8, o=1, G=2)  # capacity 4
+    hot = [
+        {"k": r.k, "makespan": r.makespan, "predicted": r.predicted,
+         "stalls": r.num_stalls, "stall_steps": r.total_stall_time}
+        for r in (measure_hotspot(params, k) for k in (2, 4, 8, 16, 31))
+    ]
+    storm = [
+        {"h": r.h, "makespan": r.makespan, "optimal": r.optimal,
+         "bound": r.worst_case_bound, "stall_episodes": len(r.result.stalls)}
+        for r in (measure_stall_storm(params, h) for h in (2, 4, 8, 16))
+    ]
+    machine = _logp_dict(params)
+    return [
+        ExperimentTable(
+            "stalling_hotspot",
+            f"Hot spot under the stalling rule (p={params.p}, L={params.L}, "
+            f"o={params.o}, G={params.G})",
+            ["senders k", "makespan", "G(k-1)+L+2o", "stalls", "stall steps"],
+            [tuple(rec.values()) for rec in hot],
+            [{**rec, "params": machine} for rec in hot],
+        ),
+        ExperimentTable(
+            "stalling_storm",
+            "Adversarial convoy h-relation (all senders walk the same destinations)",
+            ["h", "makespan", "optimal", "O(Gh^2) bound", "stall episodes"],
+            [tuple(rec.values()) for rec in storm],
+            [{**rec, "params": machine} for rec in storm],
+        ),
+    ]
 
 
-def _exp_observation1(obs=None) -> ExperimentTable:
+def _observation1(obs=None) -> list[ExperimentTable]:
+    from dataclasses import asdict
+
     from repro.core.network_support import survey_observation1
 
-    rows = [
-        (r.name, r.p, r.g_star, r.l_star, r.G_star, r.L_star,
-         f"{r.G_over_g:.2f}", f"{r.L_over_lg:.2f}")
-        for r in survey_observation1(
-            (
-                "d-dim array",
-                "hypercube (multi-port)",
-                "hypercube (single-port)",
-                "butterfly",
-                "ccc",
-                "shuffle-exchange",
-                "mesh-of-trees",
-            ),
-            (16, 64),
-        )
-    ]
-    return ExperimentTable(
-        "OB1",
-        "OB1 — Observation 1: best attainable parameters per network",
-        ["topology", "p", "g*", "l*", "G*", "L*", "G*/g*", "L*/(l*+g*)"],
-        rows,
+    survey = survey_observation1(
+        ("d-dim array", "hypercube (multi-port)", "hypercube (single-port)",
+         "butterfly", "ccc", "shuffle-exchange", "mesh-of-trees"),
+        (16, 64),
     )
+    return [ExperimentTable(
+        "observation1_direct",
+        "Observation 1: best attainable BSP vs LogP parameters per network",
+        ["topology", "p", "g*", "l*", "G*", "L*", "G*/g*", "L*/(l*+g*)"],
+        [(r.name, r.p, r.g_star, r.l_star, r.G_star, r.L_star,
+          f"{r.G_over_g:.2f}", f"{r.L_over_lg:.2f}") for r in survey],
+        [{**asdict(r), "G_over_g": r.G_over_g, "L_over_lg": r.L_over_lg}
+         for r in survey],
+    )]
 
 
-def _exp_workpreserving(obs=None) -> ExperimentTable:
-    from repro.core.logp_on_bsp import simulate_logp_on_bsp_workpreserving
+def _workpreserving(obs=None) -> list[ExperimentTable]:
+    from repro.engine import Stack
     from repro.models.params import LogPParams
-    from repro.programs import logp_sum_program
+    from repro.programs import logp_alltoall_program, logp_sum_program
 
     params = LogPParams(p=16, L=8, o=1, G=2)
-    rows = []
-    records = []
-    for bsp_p in (16, 8, 4, 2, 1):
-        rep = simulate_logp_on_bsp_workpreserving(
-            params, logp_sum_program(), bsp_p, obs=obs
-        )
-        rows.append(
-            (bsp_p, params.p // bsp_p, rep.bsp.total_cost, rep.work,
-             f"{rep.slowdown:.1f}", rep.outputs_match)
-        )
-        records.append({"bsp_p": bsp_p, "work": rep.work, **rep.as_row()})
-    return ExperimentTable(
-        "WP",
-        "WP — footnote 1: work-preserving Theorem 1 simulation (LogP p=16)",
-        ["p'", "charges/host", "T_BSP", "work p'*T", "slowdown", "outputs match"],
-        rows,
-        records=records,
-    )
+    rows, records = [], []
+    for kernel, program in (("sum", logp_sum_program),
+                            ("alltoall", logp_alltoall_program)):
+        for bsp_p in (16, 8, 4, 2, 1):
+            stack = Stack(program(), model="logp", params=params).on_bsp(p=bsp_p)
+            rep = stack.run(obs=obs)
+            rows.append((
+                kernel, bsp_p, params.p // bsp_p, rep.bsp.total_cost, rep.work,
+                f"{rep.slowdown:.1f}", f"{rep.predicted_slowdown:.1f}",
+                rep.outputs_match,
+            ))
+            records.append(
+                {"kernel": kernel, "bsp_p": bsp_p, "work": rep.work, **rep.as_row()}
+            )
+    return [ExperimentTable(
+        "workpreserving",
+        f"Work-preserving Theorem 1 (footnote 1): LogP p={params.p} on p' "
+        f"BSP processors",
+        ["kernel", "p'", "charges/host", "T_BSP", "work p'*T", "slowdown",
+         "(p/p')(1+g/G+l/L)", "outputs match"],
+        rows, records,
+    )]
 
 
-#: id -> (description, builder).  Builders accept an optional
-#: ``obs=Observation(...)``; experiments whose drivers support it (T1,
-#: TH1, WP) publish metrics/spans into it, the rest ignore it.
-EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentTable]]] = {
-    "T1": ("Table 1: network bandwidth/latency parameters", _exp_table1),
-    "TH1": ("Theorem 1: LogP on BSP", _exp_theorem1),
-    "P1": ("Propositions 1/2: Combine-and-Broadcast", _exp_cb),
-    "TH2": ("Theorem 2: deterministic BSP on LogP", _exp_theorem2),
-    "TH3": ("Theorem 3: randomized routing", _exp_theorem3),
-    "ST": ("Sections 2.2/3: stalling analyses", _exp_stalling),
-    "OB1": ("Observation 1: direct implementations on networks", _exp_observation1),
-    "WP": ("Footnote 1: work-preserving simulation", _exp_workpreserving),
+#: id -> (description, builder).  A builder sweeps its table's grid and
+#: returns one :class:`ExperimentTable` per published table; the bench
+#: ``benchmarks/bench_*.py`` for the id publishes and asserts on the
+#: same tables.  Builders accept an optional ``obs=Observation(...)``;
+#: T1, TH1 and WP publish metrics/spans into it, the rest ignore it.
+EXPERIMENTS: dict[str, tuple[str, Callable[..., list[ExperimentTable]]]] = {
+    "T1": ("Table 1: network bandwidth/latency parameters", _table1),
+    "TH1": ("Theorem 1: LogP on BSP", _theorem1),
+    "P1": ("Propositions 1/2: Combine-and-Broadcast", _cb),
+    "TH2": ("Theorem 2: deterministic BSP on LogP", _theorem2),
+    "TH3": ("Theorem 3: randomized routing", _theorem3),
+    "ST": ("Sections 2.2/3: stalling analyses", _stalling),
+    "OB1": ("Observation 1: direct implementations on networks", _observation1),
+    "WP": ("Footnote 1: work-preserving simulation", _workpreserving),
 }
 
 
@@ -499,60 +508,32 @@ def _obs_blocks(obs, doc: dict, *, metrics: bool, trace_path: str | None,
     return blocks
 
 
-def _experiment_output(exp_id: str, *, as_json: bool, metrics: bool,
-                       trace_path: str | None) -> str:
-    """Run one experiment id and return its full printable output —
-    table, optional JSON document, metrics, trace notice.  One code path
-    for serial ``run``, parallel ``run``, and the campaign targets."""
+def _run_experiments(args) -> int:
     from repro.obs import Observation
 
-    obs = Observation(trace=bool(trace_path)) if (metrics or trace_path) else None
-    table = EXPERIMENTS[exp_id][1](obs=obs)
-    parts = [table.render()]
-    doc = table.as_json()
-    blocks = _obs_blocks(
-        obs, doc, metrics=metrics, trace_path=trace_path, title=exp_id
-    )
-    if as_json:
-        parts.append(json.dumps(doc, default=str))
-    parts.extend(blocks)
-    return "\n\n".join(parts)
-
-
-def _run_experiments(args) -> int:
     ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         raise ParameterError(f"unknown experiment ids: {unknown}; try 'list'")
-    multi = len(ids) > 1
-    jobs = [
-        (
-            i,
-            {
-                "as_json": args.json,
-                "metrics": args.metrics,
-                "trace_path": _trace_path(args.trace, i, multi) if args.trace else None,
-            },
+    for exp_id in ids:
+        trace = _trace_path(args.trace, exp_id, len(ids) > 1) if args.trace else None
+        obs = Observation(trace=bool(trace)) if (args.metrics or trace) else None
+        tables = EXPERIMENTS[exp_id][1](obs=obs)
+        docs = [
+            {"id": exp_id, "table": t.name, "title": t.title, "rows": t.records}
+            for t in tables
+        ]
+        blocks = _obs_blocks(
+            obs, docs[-1], metrics=args.metrics, trace_path=trace, title=exp_id
         )
-        for i in ids
-    ]
-    workers = max(1, getattr(args, "parallel", 1) or 1)
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-
-        with mp.get_context().Pool(min(workers, len(jobs))) as pool:
-            outputs = pool.starmap(_experiment_job, jobs)
-    else:
-        outputs = [_experiment_job(i, kwargs) for i, kwargs in jobs]
-    for text in outputs:
-        print(text)
+        parts = []
+        for table, doc in zip(tables, docs):
+            parts.append(table.render())
+            if args.json:
+                parts.append(json.dumps(doc, default=str))
+        print("\n\n".join(parts + blocks))
         print()
     return 0
-
-
-def _experiment_job(exp_id: str, kwargs: dict) -> str:
-    """Picklable wrapper for the ``run --parallel`` worker pool."""
-    return _experiment_output(exp_id, **kwargs)
 
 
 # -- campaign: resumable, cache-backed sweeps over a worker pool --------
@@ -1064,13 +1045,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list experiment ids and built-in campaigns")
     run = sub.add_parser("run", help="run experiments by id (or 'all')")
     run.add_argument("ids", nargs="+", help="experiment ids, or 'all'")
-    run.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run the listed experiments across N worker processes",
-    )
     _add_obs_flags(run)
     camp = sub.add_parser(
         "campaign",

@@ -10,9 +10,7 @@ closed form into a *residual check* against a measured run:
 * ``kind="exact"`` rows must match the prediction exactly (the BSP cost
   ledger *is* the formula);
 * ``kind="upper"`` rows must stay at or below the prediction (LogP
-  delivery latency ``≤ L``);
-* ``kind="estimate"`` rows are reported with their ratio and judged
-  against a relative tolerance;
+  delivery latency ``≤ L``, Theorem 1's slowdown ``O(1 + g/G + l/L)``);
 * ``kind="factor"`` rows (slowdown vs an asymptotic, constant-free
   prediction) are judged to a constant multiplicative band.
 
@@ -37,9 +35,10 @@ class CostResidual:
     """One predicted-vs-observed comparison.
 
     ``kind`` is ``"exact"`` (must equal), ``"upper"`` (observed must not
-    exceed predicted), ``"estimate"`` (ratio judged by a relative
-    tolerance), or ``"factor"`` (ratio judged to a constant
-    multiplicative band — for asymptotic predictions).
+    exceed predicted), or ``"factor"`` (ratio judged to a constant
+    multiplicative band — for asymptotic predictions).  Judging any other
+    kind raises :class:`~repro.errors.ParameterError`, so a residual
+    document from an older or foreign writer is rejected, not judged.
     """
 
     name: str
@@ -64,14 +63,19 @@ class CostResidual:
             return 1.0 if self.observed == 0 else math.inf
         return self.observed / self.predicted
 
-    def ok(self, rel_tol: float = 0.5) -> bool:
+    def ok(self) -> bool:
         if self.kind == "exact":
             return self.observed == self.predicted
         if self.kind == "upper":
             return self.observed <= self.predicted
         if self.kind == "factor":
             return 1.0 / self.FACTOR_BAND <= self.ratio <= self.FACTOR_BAND
-        return abs(self.ratio - 1.0) <= rel_tol
+        from repro.errors import ParameterError
+
+        raise ParameterError(
+            f"residual {self.name!r} has unknown kind {self.kind!r} "
+            f"(known: exact, upper, factor)"
+        )
 
 
 @dataclass
@@ -84,19 +88,19 @@ class CostCheckReport:
     def add(self, name: str, observed: float, predicted: float, kind: str = "exact") -> None:
         self.residuals.append(CostResidual(name, observed, predicted, kind))
 
-    def failures(self, rel_tol: float = 0.5) -> list[CostResidual]:
-        return [r for r in self.residuals if not r.ok(rel_tol)]
+    def failures(self) -> list[CostResidual]:
+        return [r for r in self.residuals if not r.ok()]
 
-    def ok(self, rel_tol: float = 0.5) -> bool:
-        return not self.failures(rel_tol)
+    def ok(self) -> bool:
+        return not self.failures()
 
     @property
     def max_abs_residual(self) -> float:
         return max((abs(r.residual) for r in self.residuals), default=0.0)
 
-    def assert_ok(self, rel_tol: float = 0.5) -> "CostCheckReport":
+    def assert_ok(self) -> "CostCheckReport":
         """Raise ``AssertionError`` listing every failed residual."""
-        bad = self.failures(rel_tol)
+        bad = self.failures()
         if bad:
             detail = "; ".join(
                 f"{r.name}: observed={r.observed:g} predicted={r.predicted:g} "
@@ -228,7 +232,8 @@ class CostModelCheck:
 
     @staticmethod
     def check_theorem1(report_obj) -> CostCheckReport:
-        """Theorem 1 run: host-BSP ledger exact, slowdown vs prediction."""
+        """Theorem 1 run: host-BSP ledger exact, slowdown under the
+        theorem's ``O(1 + g/G + l/L)`` upper bound."""
         report = CostModelCheck.check_bsp(report_obj.bsp)
         report.model = (
             f"Theorem 1 (LogP p={report_obj.logp_params.p} on "
@@ -238,7 +243,7 @@ class CostModelCheck:
             "slowdown vs predicted",
             report_obj.slowdown,
             report_obj.predicted_slowdown,
-            "estimate",
+            "upper",
         )
         report.add(
             "window == floor(L/2)",

@@ -93,3 +93,29 @@ class TestRequestTarget:
         assert record["chain"] == "logp -> bsp"
         assert record["outputs_match"] is True
         assert record["cost_check"]["residuals"]
+
+
+class TestPaperBoundsHold:
+    """Every point of the built-in Theorem 1 grid and of the P x L x G
+    Combine-and-Broadcast sweep passes its own record's cost check."""
+
+    def test_every_th1_grid_point_is_under_the_theorem1_bound(self):
+        from repro.campaign import CAMPAIGNS
+        from repro.obs.check import CostCheckReport
+
+        spec = CAMPAIGNS["th1-grid"]
+        for point in spec.points():
+            check = CostCheckReport.from_dict(run_point(spec.target, point)["cost_check"])
+            slowdown = [r for r in check.residuals if r.name == "slowdown vs predicted"]
+            assert [r.kind for r in slowdown] == ["upper"], point
+            check.assert_ok()
+
+    @pytest.mark.parametrize("p", [8, 64, 512])
+    def test_every_cb_point_is_within_its_bounds(self, p):
+        from repro.obs.check import CostCheckReport
+
+        for L in (8, 16):
+            for G in (2, 8):
+                record = run_point("cb", {"p": p, "L": L, "o": 1, "G": G})
+                assert record["stall_free"] and record["sum_everywhere"], record
+                CostCheckReport.from_dict(record["cost_check"]).assert_ok()

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import BSPParams, LogPParams, Stack
+from repro.errors import ParameterError
 from repro.networks import Hypercube
 from repro.obs import CostModelCheck, CostResidual
 from repro.obs.check import CostCheckReport
@@ -23,10 +24,12 @@ class TestResidual:
         assert CostResidual("x", 6, 6, "upper").ok()
         assert not CostResidual("x", 7, 6, "upper").ok()
 
-    def test_estimate_tolerance(self):
-        assert CostResidual("x", 1.4, 1.0, "estimate").ok()
-        assert not CostResidual("x", 1.6, 1.0, "estimate").ok()
-        assert CostResidual("x", 1.6, 1.0, "estimate").ok(rel_tol=0.7)
+    def test_unknown_kind_is_rejected_not_judged(self):
+        report = CostCheckReport.from_dict({"model": "m", "residuals": [
+            {"name": "x", "kind": "estimate", "observed": 1, "predicted": 1},
+        ]})
+        with pytest.raises(ParameterError, match="'x' has unknown kind 'estimate'"):
+            report.ok()
 
     def test_factor_band(self):
         band = CostResidual.FACTOR_BAND

@@ -28,7 +28,7 @@ class TestInspect:
         assert doc["chain"] == "logp -> bsp"
         assert doc["cost_check"]["residuals"]
         assert all(
-            r["kind"] in ("exact", "upper", "estimate", "factor")
+            r["kind"] in ("exact", "upper", "factor")
             for r in doc["cost_check"]["residuals"]
         )
 

@@ -1,6 +1,7 @@
 """The experiment runner CLI (python -m repro.experiments)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -21,7 +22,7 @@ class TestCLI:
     def test_run_one_fast_experiment(self, capsys):
         assert main(["run", "WP"]) == 0
         out = capsys.readouterr().out
-        assert "work-preserving" in out
+        assert "Work-preserving" in out
         assert "yes" in out  # outputs match column
 
     def test_run_json_emits_machine_rows(self, capsys):
@@ -33,11 +34,26 @@ class TestCLI:
         assert len(json_lines) == 1
         doc = json.loads(json_lines[0])
         assert doc["id"] == "WP"
-        assert len(doc["rows"]) == 5
+        assert doc["table"] == "workpreserving"
+        assert len(doc["rows"]) == 10
         row = doc["rows"][0]
         # as_row() fields of the underlying Theorem1Report:
         assert row["outputs_match"] is True
         assert {"slowdown", "virtual_time", "bsp_p"} <= set(row)
+
+    @pytest.mark.parametrize("exp_id, names", [
+        ("P1", ["cb_synchronization"]),
+        ("ST", ["stalling_hotspot", "stalling_storm"]),
+        ("WP", ["workpreserving"]),
+    ])
+    def test_run_prints_the_committed_tables(self, exp_id, names, capsys):
+        """``run <id>`` and the id's bench render the same tables: each
+        committed ``benchmarks/results`` file appears verbatim."""
+        results = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
+        assert main(["run", exp_id]) == 0
+        out = capsys.readouterr().out
+        for name in names:
+            assert (results / f"{name}.txt").read_text() in out, name
 
     def test_registry_complete(self):
         """Every DESIGN.md experiment id is runnable."""
