@@ -1,6 +1,6 @@
 # Convenience targets; everything also works as plain pytest invocations.
 
-.PHONY: install test lint bench bench-only bench-kernel bench-service campaign-smoke dist-smoke serve-smoke workloads-smoke trace-demo faults experiments examples clean
+.PHONY: install test lint bench bench-only bench-kernel bench-service campaign-smoke dist-smoke serve-smoke workloads-smoke perfbench-smoke trace-demo faults experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -67,6 +67,15 @@ serve-smoke:
 workloads-smoke:
 	PYTHONPATH=src python -m repro.experiments workloads run --all --quick \
 		--out workloads-smoke.json
+
+# End-to-end benchmark, correctness only (see perfbench/README.md): 5 s
+# of each simulator workload.  perfbench/run.py exits nonzero if any
+# request's simulated statistics differ from perfbench/digests.json, or
+# on any cost-check, validator or reconciliation failure.  Speed is not
+# gated here.
+perfbench-smoke:
+	python3 perfbench/run.py --workload sim-theorems --seconds 5 --trace 0
+	python3 perfbench/run.py --workload sim-network --seconds 5 --trace 0
 
 # Served-requests/sec at 0/50/95% cache hit rate; asserts the counters
 # reconcile and the hit path never reaches the pool (docs/SERVICE.md).

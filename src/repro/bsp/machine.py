@@ -394,36 +394,38 @@ class BSPMachine:
     ) -> int:
         """Drive one processor's generator until Sync or completion.
 
+        Instructions are matched by exact type, most frequent first.
         Returns the number of instructions executed, for the kernel's
         work counter.
         """
         p = self.params.p
         executed = 0
+        step = gen.__next__
         while True:
             try:
-                instr = next(gen)
+                instr = step()
             except StopIteration as stop:
                 gens[pid] = None
                 results[pid] = stop.value
                 return executed
             executed += 1
-            if isinstance(instr, Sync):
-                return executed
-            if isinstance(instr, Compute):
-                w[pid] += instr.ops
-            elif isinstance(instr, Send):
-                if not 0 <= instr.dest < p:
+            cls = type(instr)
+            if cls is Send:
+                dest = instr.dest
+                if not 0 <= dest < p:
                     raise ProgramError(
                         f"processor {pid} sent to invalid destination "
-                        f"{instr.dest} (p={p})"
+                        f"{dest} (p={p})"
                     )
-                pending[instr.dest].append(
-                    Message(src=pid, dest=instr.dest, payload=instr.payload, tag=instr.tag)
-                )
+                pending[dest].append(Message(pid, dest, instr.payload, instr.tag))
                 sent[pid] += 1
-                recvd[instr.dest] += 1
+                recvd[dest] += 1
                 if step_sends is not None:
-                    step_sends.append((pid, instr.dest))
+                    step_sends.append((pid, dest))
+            elif cls is Sync:
+                return executed
+            elif cls is Compute:
+                w[pid] += instr.ops
             else:
                 raise ProgramError(
                     f"processor {pid} yielded {instr!r}, which is not a BSP "

@@ -16,6 +16,9 @@ at each superstep boundary, exactly as prescribed by the paper: a message
 not extracted during the superstep after its delivery is gone.
 
 The generator's ``return`` value becomes the processor's result.
+Instructions are matched by exact type: an instance of a subclass of an
+instruction is not an instruction, and the machine rejects it with a
+:class:`~repro.errors.ProgramError`.
 """
 
 from __future__ import annotations

@@ -244,16 +244,17 @@ def simulate_bsp_on_logp(
                         done = True
                         result = stop.value
                         break
-                    if isinstance(instr, Sync):
-                        break
-                    if isinstance(instr, BCompute):
-                        w += instr.ops
-                    elif isinstance(instr, BSend):
+                    cls = type(instr)
+                    if cls is BSend:
                         if not 0 <= instr.dest < p:
                             raise ProgramError(
                                 f"processor {pid}: invalid BSP destination {instr.dest}"
                             )
                         outgoing.append((instr.dest, (instr.tag, instr.payload)))
+                    elif cls is Sync:
+                        break
+                    elif cls is BCompute:
+                        w += instr.ops
                     else:
                         raise ProgramError(
                             f"processor {pid} yielded {instr!r}, not a BSP instruction"

@@ -103,8 +103,9 @@ class CycleInterpreter:
 
     def _acquire(self) -> Message:
         t_acq = self.vclock
-        if self.last_acquire is not None:
-            t_acq = max(t_acq, self.last_acquire + self.logp.G)
+        last = self.last_acquire
+        if last is not None and last + self.logp.G > t_acq:
+            t_acq = last + self.logp.G
         self.last_acquire = t_acq
         self.vclock = t_acq + self.logp.o
         return self.queue.popleft()
@@ -112,7 +113,8 @@ class CycleInterpreter:
     def run_window(self, window_end: int) -> list[Send]:
         """Execute until the virtual clock leaves the window (or the
         program blocks/finishes); returns the ``Send`` instructions whose
-        submission instant falls inside this window."""
+        submission instant falls inside this window.  Instructions are
+        matched by exact type, most frequent first."""
         G, o = self.logp.G, self.logp.o
         emit: list[Send] = []
 
@@ -128,27 +130,26 @@ class CycleInterpreter:
             self.blocked_recv = False
             self._send_value = self._acquire()
 
+        send = self.gen.send
         while not self.finished and not self.blocked_recv and self.vclock < window_end:
             self.ctx.clock = self.vclock
             try:
-                instr = self.gen.send(self._send_value)
+                instr = send(self._send_value)
             except StopIteration as stop:
                 self.finished = True
                 self.result = stop.value
                 break
             self._send_value = None
-            if isinstance(instr, Compute):
-                self.vclock += instr.ops
-            elif isinstance(instr, WaitUntil):
-                self.vclock = max(self.vclock, instr.time)
-            elif isinstance(instr, Send):
+            cls = type(instr)
+            if cls is Send:
                 if not 0 <= instr.dest < self.p or instr.dest == self.pid:
                     raise ProgramError(
                         f"processor {self.pid}: invalid LogP destination {instr.dest}"
                     )
                 start = self.vclock
-                if self.last_submit is not None:
-                    start = max(start, self.last_submit + G - o)
+                last = self.last_submit
+                if last is not None and last + G - o > start:
+                    start = last + G - o
                 t_sub = start + o
                 self.last_submit = t_sub
                 self.vclock = t_sub
@@ -157,17 +158,21 @@ class CycleInterpreter:
                     emit.append(instr)
                 else:
                     self.scheduled.append((t_sub, instr))
-            elif isinstance(instr, Recv):
+            elif cls is Recv:
                 if self.queue:
                     self._send_value = self._acquire()
                 else:
                     self.blocked_recv = True
-            elif isinstance(instr, TryRecv):
+            elif cls is Compute:
+                self.vclock += instr.ops
+            elif cls is TryRecv:
                 if self.queue:
                     self._send_value = self._acquire()
                 else:
                     self.vclock += 1
-                    self._send_value = None
+            elif cls is WaitUntil:
+                if instr.time > self.vclock:
+                    self.vclock = instr.time
             else:
                 raise ProgramError(
                     f"processor {self.pid} yielded {instr!r}, not a LogP instruction"

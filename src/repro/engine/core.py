@@ -101,8 +101,8 @@ class Engine:
     p:
         Processor count (sizes the tick kernel's scan lists).
     max_events:
-        Safety valve: the run raises :class:`SimulationLimitError` once
-        the queue has processed this many events.
+        Safety valve: exactly this many events may be dispatched; the
+        run raises :class:`SimulationLimitError` on the next one.
     layer:
         Human-readable name of this engine's position in the machine
         stack, e.g. ``"LogP"`` or ``"guest LogP on host BSP"``.  Every
@@ -168,10 +168,12 @@ class Engine:
         max_events = self.max_events
         time = 0
         while True:
-            while queue:
-                if counters.events >= max_events:
+            # Both queues return None once empty.  A pop counts its event,
+            # so the guard fires on the first event past ``max_events``.
+            while (event := pop()) is not None:
+                if counters.events > max_events:
                     raise self.limit_error(f"exceeded max_events={max_events}")
-                time, kind, pid, data = pop()
+                time, kind, pid, data = event
                 dispatch(time, kind, pid, data)
             if on_quiescence is None or not on_quiescence(time):
                 break

@@ -60,6 +60,10 @@ DEFAULT_PARAMS = {"L": 8, "o": 1, "G": 2, "g": 2, "l": 16}
 
 DEFAULT_TOPOLOGY = "hypercube (multi-port)"
 
+#: Bound on the shared topology instances :func:`build_stack` keeps, one
+#: per ``(topology, p)``: a 1024-node hypercube holds ~1.2 MB.
+_TOPOLOGY_CACHE_SIZE = 16
+
 
 def parse_chain(spec: str) -> tuple[str, list[str]]:
     """``"bsp-on-logp-on-network"`` -> ``("bsp", ["logp", "network"])``.
@@ -390,8 +394,14 @@ def build_stack(request: RunRequest | dict):
     topo = None
     if "network" in hosts:
         from repro.networks.params import make_topology
+        from repro.perf.memo import plan_cache
 
-        topo, _config = make_topology(req.topology, p)
+        # One shared instance per (name, p): a built topology never
+        # changes, and its exact diameter memoizes on the instance.
+        # Runs keep their route memos to themselves.
+        topo = plan_cache("topology", maxsize=_TOPOLOGY_CACHE_SIZE).get(
+            (req.topology, p), lambda: make_topology(req.topology, p)[0]
+        )
         p = topo.p  # arrays &c. round to their natural grid
 
     logp = LogPParams(p=p, L=params["L"], o=params["o"], G=params["G"])

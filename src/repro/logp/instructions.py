@@ -3,7 +3,10 @@
 A LogP program is a generator function ``prog(ctx)`` run once per
 processor.  It yields instruction objects; the machine computes each
 instruction's completion time under the model's rules and resumes the
-generator with the instruction's result.
+generator with the instruction's result.  Instructions are matched by
+exact type: an instance of a subclass of an instruction is not an
+instruction, and the interpreter rejects it with a
+:class:`~repro.errors.ProgramError`.
 
 Timing semantics (integer steps; see paper Section 2.2):
 

@@ -75,6 +75,12 @@ _STALLING = 3
 _DONE = 4
 _LINGERING = 5
 
+#: A resume event's data is the value its generator is resumed with (the
+#: acceptance time after a Send, the acquired Message after a receive,
+#: None otherwise), except for a deferred TryRecv poll, which carries
+#: this sentinel instead.
+_TRYRECV = object()
+
 _STATE_NAMES = {
     _IDLE: "idle",
     _RUNNING: "running",
@@ -320,7 +326,7 @@ class LogPMachine:
             # A stalled sender's submission was accepted: resume it.
             proc = procs[sender]
             proc.state = _RUNNING
-            push(t, _EV_RESUME, sender, ("sent", t))
+            push(t, _EV_RESUME, sender, t)
             if self.forbid_stalling:
                 raise StallError(
                     f"processor {sender} stalled until t={t} "
@@ -346,7 +352,7 @@ class LogPMachine:
             )
 
         for pid in range(p):
-            push(0, _EV_RESUME, pid, ("start", None))
+            push(0, _EV_RESUME, pid, None)
         if active is not None:
             for pid in range(p):
                 t_crash = active.crash_time(pid)
@@ -360,33 +366,45 @@ class LogPMachine:
             phase order (crash < deliver < submit < resume) is encoded in
             the event-kind numbering; the engine's queue delivers it."""
             nonlocal makespan
-            if kind == _EV_CRASH:
-                proc = procs[pid]
-                # proc.clock > time: the engine ran the processor's
-                # local computation optimistically past the crash
-                # instant, so the "finish" never actually happened.
-                if proc.state != _DONE or proc.clock > time:
-                    proc.state = _DONE
-                    proc.result = CRASHED
-                    proc.pending_send = None
-                    active.log.crashes.append((pid, time))
+            proc = procs[pid]
+            if kind == _EV_RESUME:
+                if proc.state == _DONE:
+                    return
+                if data is _TRYRECV:
+                    # Deferred poll: the processor's clock ran ahead of
+                    # event time; now (time == clock) the buffer reflects
+                    # every delivery up to it.
+                    if not self._start_acquire(proc, time, push, trace):
+                        proc.clock += 1
+                        proc.state = _IDLE
+                        push(proc.clock, _EV_RESUME, pid, None)
+                    return
+                if time > proc.clock:
+                    proc.clock = time
+                if proc.clock > makespan:
+                    makespan = proc.clock
+                self._step(proc, data, push, trace, time)
+                if proc.clock > makespan:
+                    makespan = proc.clock
             elif kind == _EV_DELIVER:
                 msg: Message = data
-                proc = procs[pid]
                 if not medium.deliverable(msg):
                     # Dropped in flight: free the capacity slot, never
                     # buffer (the fault log already has the record).
                     medium.on_delivered(msg, time)
                     return
-                proc.buffer.append((time, msg))
-                proc.buffer_highwater = max(proc.buffer_highwater, proc.buffered())
+                buffer = proc.buffer
+                buffer.append((time, msg))
+                buffered = len(buffer) - proc.buf_head
+                if buffered > proc.buffer_highwater:
+                    proc.buffer_highwater = buffered
                 if trace is not None:
                     trace.on_delivered(msg, time)
                 medium.on_delivered(msg, time)
-                if proc.state in (_BLOCKED_RECV, _LINGERING):
+                state = proc.state
+                if state == _BLOCKED_RECV or state == _LINGERING:
                     self._start_acquire(proc, time, push, trace)
             elif kind == _EV_SUBMIT:
-                proc = procs[pid]
                 if proc.state == _DONE or proc.pending_send is None:
                     return  # sender crashed between prepare and submit
                 msg = proc.pending_send
@@ -396,7 +414,7 @@ class LogPMachine:
                 accepted_at = medium.submit(pid, msg, time)
                 if accepted_at is not None:
                     proc.state = _RUNNING
-                    push(accepted_at, _EV_RESUME, pid, ("sent", accepted_at))
+                    push(accepted_at, _EV_RESUME, pid, accepted_at)
                 else:
                     proc.state = _STALLING
                     if self.forbid_stalling:
@@ -404,35 +422,15 @@ class LogPMachine:
                             f"processor {pid} stalled submitting {msg!r} at t={time} "
                             f"(forbid_stalling=True)"
                         )
-            else:  # _EV_RESUME
-                proc = procs[pid]
-                if proc.state == _DONE:
-                    return
-                tag, value = data
-                if tag == "tryrecv":
-                    # Deferred poll: the processor's clock ran ahead of
-                    # event time; now (time == clock) the buffer reflects
-                    # every delivery up to it.
-                    if proc.buffered():
-                        self._start_acquire(proc, time, push, trace)
-                        return
-                    proc.clock += 1
-                    proc.state = _IDLE
-                    push(proc.clock, _EV_RESUME, pid, ("poll", None))
-                    return
-                result: Any
-                if tag == "recv":
-                    result = value
-                elif tag == "sent":
-                    result = value
-                else:
-                    result = None
-                proc.clock = max(proc.clock, time)
-                makespan = max(makespan, proc.clock)
-                self._step(
-                    proc, result, first=(tag == "start"), push=push, trace=trace, now=time
-                )
-                makespan = max(makespan, proc.clock)
+            else:  # _EV_CRASH
+                # proc.clock > time: the engine ran the processor's
+                # local computation optimistically past the crash
+                # instant, so the "finish" never actually happened.
+                if proc.state != _DONE or proc.clock > time:
+                    proc.state = _DONE
+                    proc.result = CRASHED
+                    proc.pending_send = None
+                    active.log.crashes.append((pid, time))
 
         def release_lingerers(time: int) -> bool:
             # Quiescence: nothing in flight, nobody runnable.  Release
@@ -443,7 +441,7 @@ class LogPMachine:
                 return False
             for pr in lingerers:
                 pr.state = _IDLE
-                push(pr.clock, _EV_RESUME, pr.pid, ("recv", None))
+                push(pr.clock, _EV_RESUME, pr.pid, None)
             return True
 
         engine.run(dispatch, on_quiescence=release_lingerers)
@@ -541,84 +539,74 @@ class LogPMachine:
 
     # ------------------------------------------------------------------
 
-    def _step(
-        self, proc: _Proc, send_value: Any, first: bool, push, trace, now: int = 0
-    ) -> None:
+    def _step(self, proc: _Proc, send_value: Any, push, trace, now: int) -> None:
         """Advance ``proc``'s generator until it blocks on the network or
         finishes.  Compute/WaitUntil are resolved inline (they only move
-        the local clock); Send/Recv hand control back to the event loop."""
-        o, G = self.params.o, self.params.G
-        gen = proc.gen
+        the local clock); Send/Recv hand control back to the event loop.
+        Instructions are matched by exact type, most frequent first."""
+        params = self.params
+        pid = proc.pid
+        send = proc.gen.send
+        ctx = proc.ctx
         inline = 0
         while True:
             inline += 1
             if inline > self.max_events:
                 raise SimulationLimitError(
-                    f"[{self.layer}] processor {proc.pid} executed more than "
+                    f"[{self.layer}] processor {pid} executed more than "
                     f"max_events={self.max_events} instructions without "
                     f"touching the network (runaway local loop?)"
                 )
-            proc.ctx.clock = proc.clock
+            ctx.clock = proc.clock
             try:
-                instr = gen.send(None if first else send_value)
+                instr = send(send_value)
             except StopIteration as stop:
                 proc.state = _DONE
                 proc.result = stop.value
                 return
-            first = False
             send_value = None
-            if isinstance(instr, Compute):
-                proc.clock += instr.ops * proc.scale
-            elif isinstance(instr, WaitUntil):
-                proc.clock = max(proc.clock, instr.time)
-            elif isinstance(instr, Send):
-                if not 0 <= instr.dest < self.params.p:
+            cls = type(instr)
+            if cls is Send:
+                dest = instr.dest
+                if not 0 <= dest < params.p:
                     raise ProgramError(
-                        f"processor {proc.pid} sent to invalid destination "
-                        f"{instr.dest} (p={self.params.p})"
+                        f"processor {pid} sent to invalid destination "
+                        f"{dest} (p={params.p})"
                     )
-                if instr.dest == proc.pid:
+                if dest == pid:
                     raise ProgramError(
-                        f"processor {proc.pid} sent to itself; LogP messages "
+                        f"processor {pid} sent to itself; LogP messages "
                         f"traverse the medium — keep local data local"
                     )
                 # LogGP long messages; slow-clock faults scale local overhead.
-                prep = (o + (instr.size - 1) * self.params.Gb) * proc.scale
+                prep = (params.o + (instr.size - 1) * params.Gb) * proc.scale
                 start = proc.clock
-                if proc.last_submit is not None:
-                    start = max(start, proc.last_submit + G - prep)
+                last = proc.last_submit
+                if last is not None and last + params.G - prep > start:
+                    start = last + params.G - prep
                 t_sub = start + prep
                 proc.last_submit = t_sub
                 proc.clock = t_sub
                 proc.pending_send = Message(
-                    src=proc.pid,
-                    dest=instr.dest,
-                    payload=instr.payload,
-                    tag=instr.tag,
-                    size=instr.size,
+                    pid, dest, instr.payload, instr.tag, instr.size
                 )
                 proc.state = _IDLE  # waiting for the SUBMIT event to resolve
-                push(t_sub, _EV_SUBMIT, proc.pid, None)
+                push(t_sub, _EV_SUBMIT, pid, None)
                 return
-            elif isinstance(instr, Linger):
-                # Like Recv, but resolves to None at machine quiescence
-                # instead of deadlocking — the distributed-termination
-                # primitive for resilient protocol drain phases.
-                if not self._start_acquire(proc, proc.clock, push, trace):
-                    proc.state = _LINGERING
-                return
-            elif isinstance(instr, Recv):
+            elif cls is Recv:
                 if not self._start_acquire(proc, proc.clock, push, trace):
                     proc.state = _BLOCKED_RECV
                 return
-            elif isinstance(instr, TryRecv):
+            elif cls is Compute:
+                proc.clock += instr.ops * proc.scale
+            elif cls is TryRecv:
                 if proc.clock > now:
                     # Local clock ran ahead of processed events (inline
                     # Compute/WaitUntil); deliveries due before `clock`
                     # may still sit in the heap.  Re-attempt the poll as
                     # an event at the local clock time.
                     proc.state = _IDLE
-                    push(proc.clock, _EV_RESUME, proc.pid, ("tryrecv", None))
+                    push(proc.clock, _EV_RESUME, pid, _TRYRECV)
                     return
                 if proc.buffered():
                     if not self._start_acquire(proc, proc.clock, push, trace):
@@ -630,34 +618,52 @@ class LogPMachine:
                 # would race past its own incoming messages).
                 proc.clock += 1
                 proc.state = _IDLE
-                push(proc.clock, _EV_RESUME, proc.pid, ("poll", None))
+                push(proc.clock, _EV_RESUME, pid, None)
+                return
+            elif cls is WaitUntil:
+                if instr.time > proc.clock:
+                    proc.clock = instr.time
+            elif cls is Linger:
+                # Like Recv, but resolves to None at machine quiescence
+                # instead of deadlocking — the distributed-termination
+                # primitive for resilient protocol drain phases.
+                if not self._start_acquire(proc, proc.clock, push, trace):
+                    proc.state = _LINGERING
                 return
             else:
                 raise ProgramError(
-                    f"processor {proc.pid} yielded {instr!r}, which is not a "
+                    f"processor {pid} yielded {instr!r}, which is not a "
                     f"LogP instruction"
                 )
 
     def _start_acquire(self, proc: _Proc, now: int, push, trace) -> bool:
         """If a message is buffered, schedule its acquisition and the
         processor's resumption; returns False when the buffer is empty."""
-        if not proc.buffered():
+        buffer = proc.buffer
+        head = proc.buf_head
+        if head >= len(buffer):
             return False
-        o, G = self.params.o, self.params.G
-        t_deliver, msg = proc.buffer[proc.buf_head]
-        proc.buf_head += 1
-        if proc.buf_head > 64 and proc.buf_head * 2 > len(proc.buffer):
-            del proc.buffer[: proc.buf_head]
-            proc.buf_head = 0
-        t_acq = max(now, proc.clock, t_deliver)
-        if proc.last_acquire is not None:
-            t_acq = max(t_acq, proc.last_acquire + G)
+        params = self.params
+        t_acq, msg = buffer[head]
+        head += 1
+        if head > 64 and head * 2 > len(buffer):
+            del buffer[:head]
+            head = 0
+        proc.buf_head = head
+        # Acquisition starts at max(delivery, now, clock, last + G).
+        if now > t_acq:
+            t_acq = now
+        if proc.clock > t_acq:
+            t_acq = proc.clock
+        last = proc.last_acquire
+        if last is not None and last + params.G > t_acq:
+            t_acq = last + params.G
         proc.last_acquire = t_acq
         # LogGP long messages; slow-clock faults scale local overhead.
-        cost = (o + (msg.size - 1) * self.params.Gb) * proc.scale
+        cost = (params.o + (msg.size - 1) * params.Gb) * proc.scale
         proc.clock = t_acq + cost
         proc.state = _IDLE
         if trace is not None:
             trace.on_acquired(msg, proc.pid, t_acq, t_acq + cost)
-        push(t_acq + cost, _EV_RESUME, proc.pid, ("recv", msg))
+        push(t_acq + cost, _EV_RESUME, proc.pid, msg)
         return True

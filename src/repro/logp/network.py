@@ -169,8 +169,11 @@ class Medium:
         while the window has ``L >= C`` steps.
         """
         L = self.params.L
-        delay = self.delivery.propose_delay(msg, t_acc, L)
-        delay = min(max(int(delay), 1), L)
+        delay = int(self.delivery.propose_delay(msg, t_acc, L))
+        if delay < 1:
+            delay = 1
+        elif delay > L:
+            delay = L
         return self._free_step(msg.dest, t_acc + delay, t_acc, t_acc + L)
 
     def _free_step(

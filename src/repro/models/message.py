@@ -38,7 +38,12 @@ class Message:
     size:
         Length in words (>= 1); only meaningful on LogGP machines.
     uid:
-        Process-wide unique id, used only for tracing/debugging.
+        Process-wide unique id, drawn eagerly at construction (copies
+        made by :meth:`redirect` draw a fresh one).  Traces refer to
+        messages by it, and :class:`~repro.faults.medium.FaultyMedium`
+        keys each message's fate, drops and duplicate ghosts by it, so a
+        lossy run is correct only because no two messages share a uid.
+        It takes no part in equality.
     """
 
     src: int
@@ -46,7 +51,7 @@ class Message:
     payload: Any = None
     tag: int = 0
     size: int = 1
-    uid: int = field(default_factory=lambda: next(_serial), compare=False)
+    uid: int = field(default_factory=_serial.__next__, compare=False)
 
     def redirect(self, new_dest: int) -> "Message":
         """Copy of this message with a different destination.

@@ -110,6 +110,8 @@ class NetworkDelivery:
     def __init__(self, topo: Topology, *, start_time: int = 0, obs=None) -> None:
         self.topo = topo
         self._edge_free: dict[tuple[int, int], int] = {}
+        # Host-pair routes, memoized for this scheduler's run only.
+        self._routes: dict[tuple[int, int], list[int]] = {}
         self.violations = 0
         self.delays: list[int] = []
         self._obs = obs if (obs is not None and obs.enabled) else None
@@ -119,18 +121,25 @@ class NetworkDelivery:
         self._record_hops = self._obs is not None and self._obs.tracing
 
     def propose_delay(self, msg, accept_time: int, L: int) -> int:
-        path = self.topo.route(self.topo.hosts[msg.src], self.topo.hosts[msg.dest])
+        path = self._routes.get((msg.src, msg.dest))
+        if path is None:
+            hosts = self.topo.hosts
+            path = self._routes[(msg.src, msg.dest)] = self.topo.route(
+                hosts[msg.src], hosts[msg.dest]
+            )
         t = accept_time
+        edge_free = self._edge_free
         observe = self._obs is not None
         for u, v in zip(path, path[1:]):
-            depart = max(t, self._edge_free.get((u, v), 0))
-            self._edge_free[(u, v)] = depart + 1
-            t = depart + 1
+            depart = edge_free.get((u, v), 0)
+            if t > depart:
+                depart = t
+            t = edge_free[(u, v)] = depart + 1
             if observe:
                 self.occupancy[(u, v)] = self.occupancy.get((u, v), 0) + 1
                 if self._record_hops:
                     self.hops.append((depart, u, v, msg.uid))
-        delay = max(1, t - accept_time)
+        delay = t - accept_time if t > accept_time else 1
         self.delays.append(delay)
         if delay > L:
             self.violations += 1
@@ -188,11 +197,15 @@ def run_on_network(
         sample=None if topo.num_nodes <= 1024 else topo.hosts[:: max(1, p // 16)]
     )
     route_obs = obs.metrics_only() if obs is not None else None
+    # One route memo for this run's supersteps; dropped with the run, so
+    # a topology shared between requests carries no per-pair state.
+    routes: dict[tuple[int, int], list[int]] = {}
     supersteps: list[SuperstepComm] = []
     for rec, msgs in zip(bsp.ledger, bsp.message_log):
         if msgs:
             paths = build_paths(
-                topo, msgs, valiant=config.valiant, seed=seed + rec.index
+                topo, msgs, valiant=config.valiant, seed=seed + rec.index,
+                routes=routes,
             )
             route_time = route_packets(topo, paths, config, obs=route_obs).time
         else:

@@ -646,23 +646,42 @@ def build_paths(
     *,
     valiant: bool = False,
     seed: int | np.random.Generator = 0,
+    routes: dict[tuple[int, int], list[int]] | None = None,
 ) -> list[list[int]]:
     """Source-route each ``(src_host, dst_host)`` pair, optionally through
-    a uniformly random intermediate host (Valiant's two-phase trick)."""
-    rng = make_rng(seed)
+    a uniformly random intermediate host (Valiant's two-phase trick).
+
+    Routes are oblivious, a pure function of the node pair, and an
+    h-relation asks for the same pairs over and over, so they are
+    memoized in ``routes``: pass one dict to share the memo across the
+    calls of one run, or leave it ``None`` for a memo private to this
+    call.  The memo lives only as long as its owner, so a topology
+    shared between runs holds no routes.
+    """
+    if routes is None:
+        routes = {}
+    rng = make_rng(seed) if valiant else None
     paths: list[list[int]] = []
     hosts = topo.hosts
+    route = topo.route
     for src, dst in pairs:
         u, v = hosts[src], hosts[dst]
         if valiant and u != v:
             w = hosts[int(rng.integers(0, len(hosts)))]
-            first = topo.route_cached(u, w)
-            second = topo.route_cached(w, v)
+            first = routes.get((u, w))
+            if first is None:
+                first = routes[(u, w)] = route(u, w)
+            second = routes.get((w, v))
+            if second is None:
+                second = routes[(w, v)] = route(w, v)
             paths.append(first + second[1:])
         else:
+            path = routes.get((u, v))
+            if path is None:
+                path = routes[(u, v)] = route(u, v)
             # Copy: the simulator's packets may share endpoint pairs, and
-            # cached paths are shared read-only structure.
-            paths.append(list(topo.route_cached(u, v)))
+            # memoized paths are shared read-only structure.
+            paths.append(list(path))
     return paths
 
 

@@ -39,7 +39,7 @@ class Topology:
         self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
         self._edge_set: set[tuple[int, int]] = set()
         self.hosts: list[int] = list(hosts) if hosts is not None else list(range(num_nodes))
-        self._route_cache: dict[tuple[int, int], list[int]] = {}
+        self._diameter: int | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -53,6 +53,7 @@ class Topology:
         self._edge_set.add(key)
         self.adj[u].append(v)
         self.adj[v].append(u)
+        self._diameter = None
 
     # -- interface -----------------------------------------------------------
 
@@ -69,19 +70,6 @@ class Topology:
         """Deterministic oblivious path from node ``u`` to node ``v``
         (inclusive of both endpoints).  Subclasses override."""
         raise NotImplementedError
-
-    def route_cached(self, u: int, v: int) -> list[int]:
-        """Like :meth:`route`, but memoized per instance.
-
-        Routes are oblivious — a pure function of ``(u, v)`` — yet an
-        h-relation asks for the same endpoint pairs over and over (and a
-        Valiant pass routinely revisits intermediate hosts).  Callers
-        must not mutate the returned path.
-        """
-        path = self._route_cache.get((u, v))
-        if path is None:
-            path = self._route_cache[(u, v)] = self.route(u, v)
-        return path
 
     # -- generic graph utilities ----------------------------------------------
 
@@ -109,8 +97,11 @@ class Topology:
         return dist
 
     def diameter(self, sample: Iterable[int] | None = None) -> int:
-        """Exact diameter when ``sample`` is None (BFS from every node);
-        otherwise the max eccentricity over the sampled sources."""
+        """Exact diameter when ``sample`` is None (BFS from every node,
+        memoized on the instance until an edge is added); otherwise the
+        max eccentricity over the sampled sources."""
+        if sample is None and self._diameter is not None:
+            return self._diameter
         sources = list(sample) if sample is not None else range(self.num_nodes)
         best = 0
         for s in sources:
@@ -118,6 +109,8 @@ class Topology:
             if min(dist) < 0:
                 raise TopologyError(f"{self.name}: graph is disconnected")
             best = max(best, max(dist))
+        if sample is None:
+            self._diameter = best
         return best
 
     def __repr__(self) -> str:

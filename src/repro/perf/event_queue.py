@@ -67,21 +67,21 @@ class IndexedEventQueue:
         return self._size
 
     def push(self, time: int, kind: int, pid: int, data: Any = None) -> None:
-        self._seq += 1
-        item = (kind, self._seq, pid, data)
-        if self._cur_time is not None and time <= self._cur_time:
+        seq = self._seq = self._seq + 1
+        item = (kind, seq, pid, data)
+        cur_time = self._cur_time
+        if cur_time is not None and time <= cur_time:
             if self._cur_i < len(self._cur):
                 # Mid-batch push: only the current timestamp is admissible.
-                if time < self._cur_time:
+                if time < cur_time:
                     raise ValueError(
                         f"push into the past: t={time} while draining "
-                        f"t={self._cur_time}"
+                        f"t={cur_time}"
                     )
                 insort(self._cur, item, lo=self._cur_i)
-                self._size += 1
-                self.counters.queue_highwater = max(
-                    self.counters.queue_highwater, self._size
-                )
+                size = self._size = self._size + 1
+                if size > self.counters.queue_highwater:
+                    self.counters.queue_highwater = size
                 return
             # Batch drained: a push at or before the current time re-seeds
             # the queue (quiescence release); rewind and bucket normally.
@@ -91,28 +91,32 @@ class IndexedEventQueue:
             bucket = self._buckets[time] = []
             heapq.heappush(self._times, time)
         bucket.append(item)
-        self._size += 1
-        self.counters.queue_highwater = max(self.counters.queue_highwater, self._size)
+        size = self._size = self._size + 1
+        if size > self.counters.queue_highwater:
+            self.counters.queue_highwater = size
 
     def pop(self) -> tuple[int, int, int, Any] | None:
         """Next event as ``(time, kind, pid, data)``, or ``None``."""
-        if self._cur_i >= len(self._cur):
+        cur = self._cur
+        i = self._cur_i
+        counters = self.counters
+        if i >= len(cur):
             if not self._times:
                 return None
             t = heapq.heappop(self._times)
-            batch = self._buckets.pop(t)
-            batch.sort()
-            self._cur = batch
-            self._cur_i = 0
+            cur = self._cur = self._buckets.pop(t)
+            cur.sort()
+            i = 0
             self._cur_time = t
-            self.counters.batches += 1
+            counters.batches += 1
             prev = self._prev_time if self._prev_time is not None else -1
-            self.counters.ticks_skipped += max(0, t - prev - 1)
+            if t - prev > 1:
+                counters.ticks_skipped += t - prev - 1
             self._prev_time = t
-        kind, _seq, pid, data = self._cur[self._cur_i]
-        self._cur_i += 1
+        kind, _seq, pid, data = cur[i]
+        self._cur_i = i + 1
         self._size -= 1
-        self.counters.events += 1
+        counters.events += 1
         return (self._cur_time, kind, pid, data)  # type: ignore[return-value]
 
     def front_snapshot(self, n: int = 8) -> list[dict]:

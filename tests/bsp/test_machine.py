@@ -139,6 +139,20 @@ class TestValidation:
         with pytest.raises(ProgramError, match="not a BSP instruction"):
             run(BSPParams(p=1, g=1, l=1), prog)
 
+    def test_instruction_subclass_rejected(self):
+        """Instructions are matched by exact type: a subclass of one is
+        not an instruction."""
+
+        class Tagged(Send):
+            pass
+
+        def prog(ctx):
+            yield Tagged((ctx.pid + 1) % ctx.p, "x")
+            yield Sync()
+
+        with pytest.raises(ProgramError, match="not a BSP instruction"):
+            run(BSPParams(p=2, g=1, l=1), prog)
+
     def test_wrong_program_count(self):
         def prog(ctx):
             yield Sync()

@@ -59,6 +59,20 @@ class TestStructure:
             rep = simulate_bsp_on_logp(params(), bsp_prefix_program(), routing=mode)
             assert rep.logp.stall_free
 
+    def test_instruction_subclass_rejected(self):
+        """The guest BSP interpreter matches instructions by exact type."""
+        from repro.bsp import Send, Sync
+
+        class Tagged(Send):
+            pass
+
+        def prog(ctx):
+            yield Tagged((ctx.pid + 1) % ctx.p, "x")
+            yield Sync()
+
+        with pytest.raises(ProgramError, match="not a BSP instruction"):
+            simulate_bsp_on_logp(params(), prog)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ProgramError, match="unknown routing"):
             simulate_bsp_on_logp(params(), bsp_prefix_program(), routing="psychic")

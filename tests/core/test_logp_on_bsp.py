@@ -126,6 +126,23 @@ class TestInstructionCoverage:
         assert rep.bsp.results == [4, "edge"]
         assert rep.outputs_match
 
+    def test_instruction_subclass_rejected(self):
+        """The cycle interpreter matches instructions by exact type."""
+        from repro.errors import ProgramError
+
+        class Tagged(Send):
+            pass
+
+        def prog(ctx):
+            if ctx.pid == 0:
+                yield Tagged(1, None)
+            else:
+                yield Recv()
+
+        params = LogPParams(p=2, L=8, o=1, G=2)
+        with pytest.raises(ProgramError, match="not a LogP instruction"):
+            simulate_logp_on_bsp(params, prog, compare_native=False)
+
     def test_mismatched_p_rejected(self):
         from repro.errors import ProgramError
 

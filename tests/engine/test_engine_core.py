@@ -131,6 +131,21 @@ class TestDriveLoop:
         with pytest.raises(SimulationLimitError, match=r"\[test\] .*max_events"):
             engine.run(lambda *event: None)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_max_events_boundary(self, kernel):
+        """Exactly ``max_events`` events complete; one more raises
+        before it is dispatched."""
+        seen = []
+        engine = self._engine(kernel, max_events=3)
+        engine.run(lambda *event: seen.append(event[3]))
+        assert seen == ["y", "x", "z"]
+
+        seen.clear()
+        engine = self._engine(kernel, max_events=2)
+        with pytest.raises(SimulationLimitError, match=r"\[test\] exceeded max_events=2"):
+            engine.run(lambda *event: seen.append(event[3]))
+        assert seen == ["y", "x"]
+
     def test_quiescence_release_reenters_the_loop(self):
         engine = self._engine()
         seen = []

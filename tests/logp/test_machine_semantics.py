@@ -19,6 +19,7 @@ from repro.logp import (
     WaitUntil,
 )
 from repro.models.params import LogPParams
+from repro.perf import KERNELS
 
 
 def params(p=2, L=8, o=1, G=2, **kw):
@@ -227,6 +228,20 @@ class TestMakespanAndErrors:
         with pytest.raises(ProgramError, match="not a"):
             LogPMachine(params()).run(prog)
 
+    def test_instruction_subclass_rejected(self):
+        """Instructions are matched by exact type: a subclass of one is
+        not an instruction."""
+
+        class Tagged(Send):
+            pass
+
+        def prog(ctx):
+            if ctx.pid == 0:
+                yield Tagged(1, None)
+
+        with pytest.raises(ProgramError, match="not a LogP instruction"):
+            LogPMachine(params()).run(prog)
+
     def test_non_generator(self):
         with pytest.raises(ProgramError, match="not a generator"):
             LogPMachine(params()).run(lambda ctx: None)
@@ -238,6 +253,25 @@ class TestMakespanAndErrors:
 
         with pytest.raises(SimulationLimitError):
             LogPMachine(params(p=1), max_events=100).run(prog)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_max_events_boundary(self, kernel):
+        """One message costs exactly six events: two start resumes, the
+        submission, the sender's resume, the delivery and the receiver's
+        resume.  A limit of six completes the run; five stops it."""
+
+        def prog(ctx):
+            if ctx.pid == 0:
+                yield Send(1, "x")
+                return None
+            msg = yield Recv()
+            return msg.payload
+
+        res = LogPMachine(params(), max_events=6, kernel=kernel).run(prog)
+        assert res.results == [None, "x"]
+        assert res.kernel.events == 6
+        with pytest.raises(SimulationLimitError, match=r"\[LogP\] exceeded max_events=5"):
+            LogPMachine(params(), max_events=5, kernel=kernel).run(prog)
 
     def test_message_count(self):
         def prog(ctx):

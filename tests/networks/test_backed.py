@@ -73,3 +73,46 @@ class TestPricing:
         )
         ratio = backed.network_cost / predicted
         assert 0.2 <= ratio <= 5.0
+
+
+class TestSharedTopology:
+    """``build_stack`` shares one topology per ``(topology, p)``; each
+    run keeps its route memo to itself."""
+
+    @staticmethod
+    def _stack(seed):
+        from repro.engine.request import RunRequest, build_stack
+
+        req = RunRequest(chain="bsp-on-network", workload="radix-sort", p=16, seed=seed)
+        stack = build_stack(req)
+        (layer,) = stack.layers
+        return layer.spec, stack
+
+    @staticmethod
+    def _state(topo):
+        """The instance's state, less the memoized diameter."""
+        return {name: repr(v) for name, v in vars(topo).items() if name != "_diameter"}
+
+    def test_requests_share_one_instance(self):
+        from repro.perf import clear_plan_caches, plan_cache_stats
+
+        clear_plan_caches()
+        topo, first = self._stack(seed=1)
+        built = self._state(topo)
+        first.run()
+        again, second = self._stack(seed=2)
+        warm = second.run()
+        assert again is topo
+        assert plan_cache_stats()["topology"]["hits"] == 1
+        assert topo.diameter() == warm.supersteps[0].barrier_time // 2
+        # No per-pair memo accumulated on the shared instance.
+        assert self._state(topo) == built
+
+        clear_plan_caches()
+        fresh, third = self._stack(seed=2)
+        cold = third.run()
+        assert fresh is not topo
+        assert plan_cache_stats()["topology"]["misses"] == 1
+        assert cold.as_row() == warm.as_row()
+        assert cold.supersteps == warm.supersteps
+        assert cold.results == warm.results

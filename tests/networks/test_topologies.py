@@ -13,6 +13,7 @@ from repro.networks import (
     MeshOfTrees,
     ShuffleExchange,
 )
+from repro.networks.params import TOPOLOGY_BUILDERS
 
 
 def all_pairs_routes_valid(topo, trials=200, seed=0):
@@ -161,3 +162,24 @@ class TestDiameterUtility:
         t.add_edge(0, 0)
         t.add_edge(0, 1)
         assert t.num_edges == 1
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
+    def test_memoized_diameter_is_exact(self, name, monkeypatch):
+        """The exact diameter is computed once per instance and equals a
+        fresh all-sources BFS."""
+        topo, _config = TOPOLOGY_BUILDERS[name](64)
+        memo = topo.diameter()
+        fresh = max(max(topo.bfs_distances(s)) for s in range(topo.num_nodes))
+        assert memo == fresh
+        monkeypatch.setattr(topo, "bfs_distances", lambda s: pytest.fail("recomputed"))
+        assert topo.diameter() == memo
+
+    def test_add_edge_drops_the_memo(self):
+        from repro.networks.topology import Topology
+
+        t = Topology(4)
+        for u in range(3):
+            t.add_edge(u, u + 1)
+        assert t.diameter() == 3  # a path
+        t.add_edge(3, 0)
+        assert t.diameter() == 2  # a ring
