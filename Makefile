@@ -69,13 +69,15 @@ workloads-smoke:
 		--out workloads-smoke.json
 
 # End-to-end benchmark, correctness only (see perfbench/README.md): 5 s
-# of each simulator workload.  perfbench/run.py exits nonzero if any
-# request's simulated statistics differ from perfbench/digests.json, or
-# on any cost-check, validator or reconciliation failure.  Speed is not
-# gated here.
+# of each simulator workload and of serve-hot.  perfbench/run.py exits
+# nonzero if any request's simulated statistics differ from
+# perfbench/digests.json, or on any cost-check, validator or
+# reconciliation failure; for serve-hot also on a response that is not
+# ok or a warm point not served as a hit.  Speed is not gated here.
 perfbench-smoke:
 	python3 perfbench/run.py --workload sim-theorems --seconds 5 --trace 0
 	python3 perfbench/run.py --workload sim-network --seconds 5 --trace 0
+	python3 perfbench/run.py --workload serve-hot --seconds 5 --trace 0
 
 # Served-requests/sec at 0/50/95% cache hit rate; asserts the counters
 # reconcile and the hit path never reaches the pool (docs/SERVICE.md).

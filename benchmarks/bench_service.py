@@ -128,10 +128,7 @@ def measure(total: int) -> dict:
     async def _main() -> list[dict]:
         out = []
         with tempfile.TemporaryDirectory(prefix="bench-service-") as d:
-            cfg = ServiceConfig(
-                store_dir=d, shards=8, workers=0,
-                batch_window_s=0.0,  # throughput, not coalescing latency
-            )
+            cfg = ServiceConfig(store_dir=d, shards=8, workers=0)
             async with SimulationService(cfg) as svc:
                 for label, rate in HIT_RATES:
                     out.append(await _run_phase(svc, label, rate, total))

@@ -752,12 +752,10 @@ def _serve_smoke(cfg, args) -> int:
     mixed hit/miss/dedup traffic, counters asserted to reconcile.  Backs
     ``make serve-smoke`` and the service-smoke CI job."""
     import asyncio
-    import dataclasses
 
     from repro.service import ServiceClient, SimulationService
     from repro.service import serve as serve_tcp
 
-    cfg = dataclasses.replace(cfg, batch_window_s=max(cfg.batch_window_s, 0.05))
     docs = [{"chain": "bsp", "p": 4, "seed": s} for s in range(3)]
     copies = 4
 
@@ -1191,7 +1189,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_p.add_argument(
         "--batch-window", type=float, default=0.01, metavar="SECONDS",
-        help="miss-coalescing window before a pool dispatch (default 0.01)",
+        help="with --workers > 1, how long a miss waits to coalesce with "
+        "others into one worker-pool job; in-process misses start at once "
+        "(default 0.01)",
     )
     serve_p.add_argument(
         "--smoke", action="store_true",

@@ -13,6 +13,10 @@ appended to the shared store), ``ping``.  Every ``run`` is handled in
 its own task, so concurrent identical requests on one *or many*
 connections dedupe inside the service exactly like in-process callers.
 
+A frame that is not a JSON object, or is longer than
+:data:`FRAME_LIMIT` bytes, gets an error reply with ``"id": null`` and
+the connection keeps serving the frames after it.
+
 Everything is stdlib asyncio; :class:`ServiceClient` is the async
 client and :func:`request_sync` the one-shot synchronous wrapper the
 CLI client mode uses.
@@ -26,8 +30,31 @@ import json
 __all__ = ["serve", "ServiceClient", "request_sync"]
 
 
+#: Longest frame the server reads, newline excluded: asyncio's default
+#: ``StreamReader`` limit, stated so the error reply can name it.
+FRAME_LIMIT = 2**16
+
+
 def _error(message: str, req_id=None) -> dict:
     return {"id": req_id, "ok": False, "error": message}
+
+
+async def _drop_line(reader, consumed: int) -> bool:
+    """Discard the rest of an oversized frame, through its newline;
+    ``False`` if the stream ends first.
+
+    ``consumed`` is a :class:`asyncio.LimitOverrunError`'s count: that
+    many buffered bytes hold no newline."""
+    try:
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                return True
+            except asyncio.LimitOverrunError as exc:
+                consumed = exc.consumed
+    except asyncio.IncompleteReadError:
+        return False
 
 
 async def _handle_connection(service, reader, writer) -> None:
@@ -50,7 +77,15 @@ async def _handle_connection(service, reader, writer) -> None:
 
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF: an unterminated last frame, or b""
+            except asyncio.LimitOverrunError as exc:
+                await reply(_error(f"frame longer than {FRAME_LIMIT} bytes"))
+                if not await _drop_line(reader, exc.consumed):
+                    break
+                continue
             if not line:
                 break
             line = line.strip()
@@ -58,8 +93,12 @@ async def _handle_connection(service, reader, writer) -> None:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 await reply(_error(f"bad JSON: {exc}"))
+                continue
+            if not isinstance(doc, dict):
+                await reply(_error(
+                    f"frame must be a JSON object, got {type(doc).__name__}"))
                 continue
             op = doc.get("op")
             if op == "run":
@@ -94,7 +133,7 @@ async def serve(service, host: str = "127.0.0.1", port: int = 0):
     async def handler(reader, writer):
         await _handle_connection(service, reader, writer)
 
-    return await asyncio.start_server(handler, host, port)
+    return await asyncio.start_server(handler, host, port, limit=FRAME_LIMIT)
 
 
 class ServiceClient:

@@ -12,14 +12,15 @@ first:
 2. **in-flight dedup** — an identical request is being computed right
    now; this submit awaits the same future, so N concurrent identical
    requests cost one computation and produce N responses.
-3. **miss** — the request joins the pending batch; the dispatch loop
-   coalesces pending misses for a short window, then ships one chunked
-   job to the campaign's work-stealing pool
-   (:func:`~repro.campaign.pool.run_pool`).  Every finished point is
-   appended to the store *as it lands* (crash durability is the
-   store's: fsynced JSONL, torn-tail healing on reopen) and its waiters
-   are resolved from the pool callback thread via
-   ``call_soon_threadsafe``.
+3. **miss** — the request joins the pending batch; once the previous
+   job is done the dispatch loop ships up to ``max_batch`` pending
+   misses as one chunked job to the campaign's work-stealing pool
+   (:func:`~repro.campaign.pool.run_pool`).  Only a job bound for
+   worker processes (``workers > 1``) first waits a short window to
+   coalesce more misses.  Every finished point is appended to the
+   store *as it lands* (crash durability is the store's: fsynced JSONL,
+   torn-tail healing on reopen) and its waiters are resolved from the
+   pool callback thread via ``call_soon_threadsafe``.
 
 The store is sharded by key prefix, so several service processes can
 share one cache directory: each sees the others' finished points after
@@ -27,8 +28,9 @@ share one cache directory: each sees the others' finished points after
 per-shard append-only files.
 
 ``workers <= 1`` computes misses in-process (no worker process is ever
-spawned) — the configuration the hit-path benchmark uses to prove cache
-hits never cost a process.
+spawned, and a miss that finds the dispatcher idle starts at once) —
+the configuration the hit-path benchmark uses to prove cache hits never
+cost a process.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ class ServiceConfig:
     timeout_s:
         Per-point timeout forwarded to the pool (``None`` = unbounded).
     batch_window_s:
-        How long the dispatcher waits after the first pending miss to
-        coalesce more misses into the same pool job.
+        With ``workers > 1``, how long the dispatcher waits after the
+        first pending miss to coalesce more misses into the same pool
+        job.  Unused with ``workers <= 1``: an in-process job starts at
+        once.
     max_batch:
         Upper bound on points per pool job.
     """
@@ -244,9 +248,12 @@ class SimulationService:
             fut.set_result(entry)
 
     async def _dispatch_loop(self) -> None:
-        """Coalesce pending misses and ship them to the pool, batch by
-        batch.  One batch runs at a time; misses arriving meanwhile
-        queue up for the next one."""
+        """Ship pending misses to the pool, batch by batch.  One batch
+        runs at a time; misses arriving meanwhile queue up for the next
+        one.  Only a job bound for worker processes first waits
+        ``batch_window_s`` to coalesce more misses: each such job spawns
+        its processes anew, while an in-process job has no start-up
+        cost to spread."""
         from repro.campaign.pool import run_pool
 
         while True:
@@ -254,7 +261,7 @@ class SimulationService:
             self._kick.clear()
             if self._closing:
                 return
-            if self.config.batch_window_s > 0:
+            if self.config.workers > 1 and self.config.batch_window_s > 0:
                 await asyncio.sleep(self.config.batch_window_s)
             batch = self._pending[: self.config.max_batch]
             del self._pending[: len(batch)]

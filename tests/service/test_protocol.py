@@ -1,17 +1,21 @@
 """The JSON-lines TCP protocol: round-trips, cross-connection dedup,
-malformed input handling."""
+malformed and oversized input handling."""
 
 import asyncio
 import json
 
+import pytest
+
 from repro.service import ServiceClient, ServiceConfig, SimulationService, serve
+from repro.service.protocol import FRAME_LIMIT
 
 DOC = {"chain": "bsp", "program": "prefix", "p": 4}
+PING = json.dumps({"op": "ping", "id": 9}).encode() + b"\n"
 
 
 def _config(tmp_path):
     return ServiceConfig(store_dir=str(tmp_path / "store"), shards=4,
-                         workers=0, batch_window_s=0.01)
+                         workers=0)
 
 
 def with_server(tmp_path, body):
@@ -107,13 +111,34 @@ class TestCrossConnectionDedup:
 
 
 class TestMalformedInput:
-    def test_bad_json_gets_an_error_reply_and_connection_survives(self, tmp_path):
+    @pytest.mark.parametrize("frame, error", [
+        (b"{not json", "bad JSON"),
+        (b"\xff", "bad JSON"),
+        (b"[1, 2]", "frame must be a JSON object, got list"),
+        (b'"x"', "frame must be a JSON object, got str"),
+        (b"null", "frame must be a JSON object, got NoneType"),
+    ], ids=["not-json", "not-utf8", "list", "string", "null"])
+    def test_bad_json_gets_an_error_reply_and_connection_survives(
+            self, tmp_path, frame, error):
         async def body(svc, host, port):
-            lines = [b"{not json\n", json.dumps({"op": "ping", "id": 9}).encode() + b"\n"]
-            return await _raw_roundtrip(host, port, lines)
+            return await _raw_roundtrip(host, port, [frame + b"\n", PING])
 
         bad, pong = with_server(tmp_path, body)
-        assert bad["ok"] is False and "bad JSON" in bad["error"]
+        assert bad["ok"] is False and bad["id"] is None
+        assert error in bad["error"]
+        assert pong["ok"] is True and pong["id"] == 9
+
+    @pytest.mark.parametrize("size", [70_000, 300_000])
+    def test_oversized_frame_gets_an_error_reply_and_connection_survives(
+            self, tmp_path, size):
+        frame = json.dumps({"op": "ping", "id": 1, "pad": "x" * size}).encode()
+
+        async def body(svc, host, port):
+            return await _raw_roundtrip(host, port, [frame + b"\n", PING])
+
+        bad, pong = with_server(tmp_path, body)
+        assert bad["ok"] is False and bad["id"] is None
+        assert f"longer than {FRAME_LIMIT} bytes" in bad["error"]
         assert pong["ok"] is True and pong["id"] == 9
 
     def test_unknown_op(self, tmp_path):

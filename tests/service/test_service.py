@@ -6,6 +6,7 @@ sync test functions — the CI environment has no pytest-asyncio.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -15,8 +16,7 @@ DOC = {"chain": "bsp", "program": "prefix", "p": 4}
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
-    defaults = dict(store_dir=str(tmp_path / "store"), shards=4, workers=0,
-                    batch_window_s=0.005)
+    defaults = dict(store_dir=str(tmp_path / "store"), shards=4, workers=0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -73,6 +73,52 @@ class TestDedup:
         responses, stats = run_service(tmp_path, body)
         assert {r["outcome"] for r in responses} == {"miss"}
         assert stats.pool_points == 2
+
+
+class TestMissDispatch:
+    """The batch window coalesces misses only for worker-process jobs."""
+
+    @pytest.fixture
+    def jobs(self, monkeypatch):
+        """Record each pool job's keys; compute it in-process, so no
+        worker process is spawned whatever ``workers`` says."""
+        from repro.campaign import pool
+
+        real_run_pool = pool.run_pool
+        recorded = []
+
+        def run_pool(target, items, *, workers, timeout_s, on_result):
+            recorded.append([item["key"] for item in items])
+            return real_run_pool(target, items, workers=1,
+                                 timeout_s=timeout_s, on_result=on_result)
+
+        monkeypatch.setattr(pool, "run_pool", run_pool)
+        return recorded
+
+    def test_in_process_miss_starts_without_the_window(self, tmp_path, jobs):
+        async def body(svc):
+            t0 = time.perf_counter()
+            resp = await svc.submit(DOC)
+            return resp, time.perf_counter() - t0
+
+        resp, elapsed = run_service(tmp_path, body, workers=0,
+                                    batch_window_s=5.0)
+        assert resp["ok"] and resp["outcome"] == "miss"
+        assert elapsed < 1.0
+        assert jobs == [[resp["key"]]]
+
+    def test_worker_jobs_coalesce_within_the_window(self, tmp_path, jobs):
+        async def body(svc):
+            first = asyncio.create_task(svc.submit({**DOC, "seed": 1}))
+            await asyncio.sleep(0.05)
+            second = asyncio.create_task(svc.submit({**DOC, "seed": 2}))
+            return await asyncio.gather(first, second), svc.stats
+
+        responses, stats = run_service(tmp_path, body, workers=2,
+                                       batch_window_s=0.2)
+        assert all(r["ok"] and r["outcome"] == "miss" for r in responses)
+        assert jobs == [[r["key"] for r in responses]]
+        assert stats.pool_jobs == 1 and stats.pool_points == 2
 
 
 class TestHitPath:

@@ -87,7 +87,7 @@ class TestCrossServer:
     def test_two_services_share_one_cache_dir(self, tmp_path):
         doc = {"chain": "bsp", "program": "prefix", "p": 4}
         cfg = ServiceConfig(store_dir=str(tmp_path / "cache"), shards=4,
-                            workers=0, batch_window_s=0.005)
+                            workers=0)
 
         async def main():
             async with SimulationService(cfg) as a, SimulationService(cfg) as b:

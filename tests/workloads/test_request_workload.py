@@ -112,7 +112,6 @@ class TestService:
         async def _go():
             cfg = ServiceConfig(
                 store_dir=str(tmp_path / "store"), shards=4, workers=0,
-                batch_window_s=0.005,
             )
             async with SimulationService(cfg) as svc:
                 first = await svc.submit(doc)
