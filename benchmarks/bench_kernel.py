@@ -49,6 +49,7 @@ defines no tests; it is an argparse CLI.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -181,23 +182,6 @@ WORKLOADS = {
 }
 
 
-def measure(fn, kernel: str, repeats: int) -> dict:
-    """Best-of-``repeats`` wall clock for one workload on one kernel."""
-    best = float("inf")
-    events = 0
-    for _ in range(repeats):
-        clear_plan_caches()
-        t0 = time.perf_counter()
-        events = fn(kernel)
-        best = min(best, time.perf_counter() - t0)
-    return {
-        "kernel": kernel,
-        "events": events,
-        "wall_s": round(best, 4),
-        "events_per_s": round(events / best) if best else 0,
-    }
-
-
 def measure_interleaved(fn, kernels: tuple, repeats: int) -> dict:
     """Best-of-``repeats`` per kernel, with repetitions round-robined
     across the kernels instead of measured back-to-back.
@@ -297,33 +281,57 @@ def print_report(report: dict) -> None:
 #: at every constructor boundary, so the hot loops are byte-identical.
 OBS_OVERHEAD_LIMIT = 0.05
 
+#: Interleaved base/disabled pairs ``--obs-check`` times with ``--quick``
+#: (twice as many without); one pair takes ~0.3 s.
+OBS_PAIRS_QUICK = 20
 
-def obs_check(repeats: int) -> int:
+
+def paired_overhead(base, other, pairs: int, clock=time.perf_counter):
+    """Relative wall-clock overhead of ``other`` over ``base``: the
+    median over ``pairs`` of each pair's ``other / base - 1``.  Returns
+    ``(overhead, base events, other events)``.
+
+    Each pair times the two sides back to back and the next pair flips
+    which side goes first, so host drift (frequency scaling, a noisy
+    neighbour) lands on both sides rather than on whichever is timed
+    last, and the median ignores the pairs a burst of drift spoiled.
+    Best-of-N per side, timed side after side, read +59.6% comparing
+    two identical code paths."""
+    sides = (base, other)
+    ratios, events = [], [0, 0]
+    for i in range(pairs):
+        wall = [0.0, 0.0]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            clear_plan_caches()
+            t0 = clock()
+            events[side] = sides[side]()
+            wall[side] = clock() - t0
+        ratios.append(wall[1] / wall[0])
+    return statistics.median(ratios) - 1.0, events[0], events[1]
+
+
+def obs_check(pairs: int) -> int:
     from repro.obs import Observation
 
-    repeats = max(repeats, 3)  # wall-clock ratio: keep jitter down
-    base = measure(_run_bsp_on_logp_sweep, "event", repeats)
-    disabled = measure(
-        lambda kernel: _run_bsp_on_logp_sweep(
-            kernel, obs=Observation(enabled=False)
+    overhead, base_events, disabled_events = paired_overhead(
+        lambda: _run_bsp_on_logp_sweep("event"),
+        lambda: _run_bsp_on_logp_sweep(
+            "event", obs=Observation(enabled=False)
         ),
-        "event",
-        repeats,
+        pairs,
     )
-    if disabled["events"] != base["events"]:
+    if disabled_events != base_events:
         print(
             f"FAIL  obs-check: event counts diverged "
-            f"({disabled['events']} with disabled obs vs {base['events']})"
+            f"({disabled_events} with disabled obs vs {base_events})"
         )
         return 1
-    overhead = (
-        disabled["wall_s"] / base["wall_s"] - 1.0 if base["wall_s"] else 0.0
-    )
     ok = overhead < OBS_OVERHEAD_LIMIT
     print(
         f"{'ok  ' if ok else 'FAIL'}  obs-check: bsp_on_logp_p64 disabled-"
         f"instrumentation overhead {overhead * 100:+.1f}% "
-        f"(limit {OBS_OVERHEAD_LIMIT * 100:.0f}%)"
+        f"(median of {pairs} interleaved pairs; "
+        f"limit {OBS_OVERHEAD_LIMIT * 100:.0f}%)"
     )
     return 0 if ok else 1
 
@@ -413,15 +421,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    obs_pairs = OBS_PAIRS_QUICK if args.quick else 2 * OBS_PAIRS_QUICK
     if args.obs_check and not (args.check or args.update or args.out):
-        return obs_check(repeats=1 if args.quick else 3)
+        return obs_check(obs_pairs)
 
     report = run_all(repeats=1 if args.quick else 3)
     print_report(report)
 
     rc = 0
     if args.obs_check:
-        rc = max(rc, obs_check(repeats=1 if args.quick else 3))
+        rc = max(rc, obs_check(obs_pairs))
     if args.check:
         if not BENCH_FILE.exists():
             print(f"FAIL  committed {BENCH_FILE.name} missing")

@@ -7,15 +7,24 @@ Layout (one directory per campaign)::
     <dir>/index.json      # key -> status summary, rebuilt at close
 
 ``results.jsonl`` is the source of truth and is written one line per
-completed point *as results arrive* (flushed and fsynced), so a killed
-campaign keeps everything it finished: reopening the store replays the
-file, moves a torn final line from a mid-write kill into
+completed point *as results arrive* (fsynced), so a killed campaign
+keeps everything it finished: reopening the store replays the file,
+moves a torn final line from a mid-write kill into
 ``results.quarantine`` and truncates back to the last good newline (so
 later appends cannot concatenate onto the fragment), keeps the
 **latest** entry per key, and the runner skips every key whose entry is
 ``ok``.
 ``index.json`` and ``campaign.json`` are conveniences for humans and CI
 artifacts; they are never read back as truth.
+
+The entries live on disk; memory holds only an index: per key, the
+entry's status and the byte ranges of its line and of its record in
+``results.jsonl``.  So a store's memory does not grow with the size of
+its records.  :meth:`ResultStore.get` answers with one ``os.pread`` of
+the record's range and hands back the stored JSON bytes unparsed;
+:meth:`~ResultStore.entries`, :meth:`~ResultStore.completed`,
+:meth:`~ResultStore.canonical` and :meth:`~ResultStore.compact` parse
+entries from disk when called.
 
 Entries are content-addressed by the spec's point keys, so resume,
 ``--force``, and fingerprint invalidation all reduce to set algebra on
@@ -29,7 +38,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
+from json.decoder import WHITESPACE, scanstring
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from repro.campaign.spec import CampaignSpec
@@ -44,6 +56,85 @@ STORE_SCHEMA = {"name": "repro.campaign.store", "version": 1}
 #: placement jitter; everything else must be deterministic).
 VOLATILE_FIELDS = ("wall_s", "worker")
 
+# One reusable instance of the C encoder ``json.dumps(..., sort_keys=True)``
+# builds afresh on every call: (value, indent level) -> string chunks.
+_encode_chunks = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ": ", ", ", True, False, True,
+)
+_scan_value = json.JSONDecoder().scan_once
+_skip_ws = WHITESPACE.match
+
+
+def compose_line(entry: dict) -> tuple[bytes, int, int]:
+    """The stored line of ``entry`` — exactly ``json.dumps(entry,
+    sort_keys=True)`` plus a newline — and the ``[start, end)`` byte
+    range of its ``record`` value in that line.
+
+    The line is composed field by field, so the record's range falls out
+    of the one serialization.  ``json.dumps`` escapes every non-ASCII
+    character, so character and byte offsets agree."""
+    parts = []
+    start = end = 0
+    pos = 1  # past the opening brace
+    for name in sorted(entry):
+        head = encode_basestring_ascii(name) + ": "
+        value = "".join(_encode_chunks(entry[name], 0))
+        if name == "record":
+            start = pos + len(head)
+            end = start + len(value)
+        parts.append(head + value)
+        pos += len(head) + len(value) + 2  # the ", " separator
+    return ("{" + ", ".join(parts) + "}\n").encode(), start, end
+
+
+def scan_line(line: str) -> tuple:
+    """Walk one stored line's top-level JSON object in a single decode
+    pass: returns its ``key`` and ``status`` values (``None`` when
+    absent) and the ``[start, end)`` offsets of its ``record`` value
+    (``0, 0`` when absent).  Raises :class:`ValueError` unless the line
+    is exactly one JSON object."""
+    key = status = None
+    start = end = 0
+    i = _skip_ws(line, 0).end()
+    if line[i:i + 1] != "{":
+        raise ValueError("not a JSON object")
+    i = _skip_ws(line, i + 1).end()
+    if line[i:i + 1] != "}":
+        while True:
+            if line[i:i + 1] != '"':
+                raise ValueError(f"expected a field name at {i}")
+            name, i = scanstring(line, i + 1)
+            if line.startswith(": ", i) and line[i + 2:i + 3] not in " \t\n\r":
+                i += 2  # the separators json.dumps writes
+            else:
+                i = _skip_ws(line, i).end()
+                if line[i:i + 1] != ":":
+                    raise ValueError(f"expected ':' at {i}")
+                i = _skip_ws(line, i + 1).end()
+            try:
+                value, stop = _scan_value(line, i)
+            except StopIteration as exc:
+                raise ValueError(f"expected a value at {exc.value}") from None
+            if name == "record":
+                start, end = i, stop
+            elif name == "key":
+                key = value
+            elif name == "status":
+                status = value
+            if line.startswith(', "', stop):
+                i = stop + 2
+                continue
+            i = _skip_ws(line, stop).end()
+            if line[i:i + 1] == "}":
+                break
+            if line[i:i + 1] != ",":
+                raise ValueError(f"expected ',' or '}}' at {i}")
+            i = _skip_ws(line, i + 1).end()
+    if _skip_ws(line, i + 1).end() != len(line):
+        raise ValueError(f"extra data at {i + 1}")
+    return key, status, start, end
+
 
 class ResultStore:
     """One campaign's persisted results under ``directory``."""
@@ -55,9 +146,12 @@ class ResultStore:
         self.index_path = self.directory / "index.json"
         self.quarantine_path = self.directory / "results.quarantine"
         self.quarantined = 0  # torn tail fragments moved aside on load
-        self._entries: dict[str, dict] = {}
-        self._fh = None
-        # Guards _entries and the append file handle: the service's
+        # key -> (status, line_start, line_end, record_start, record_end),
+        # byte offsets into results.jsonl; the latest line per key wins.
+        self._index: dict[str, tuple] = {}
+        self._scanned = 0  # bytes of results.jsonl already indexed
+        self._fd: int | None = None
+        # Guards the index and the file descriptor: the service's
         # asyncio loop reads (get) while pool-callback threads append.
         self._lock = threading.RLock()
 
@@ -70,11 +164,11 @@ class ResultStore:
         *,
         force: bool = False,
     ) -> "ResultStore":
-        """Load prior results (unless ``force``) and start appending."""
+        """Index prior results (unless ``force``) and start appending."""
         self.directory.mkdir(parents=True, exist_ok=True)
         if force and self.results_path.exists():
             self.results_path.unlink()
-        self._entries = self._load()
+        self._load()
         self.meta_path.write_text(
             json.dumps(
                 {
@@ -86,13 +180,16 @@ class ResultStore:
             )
             + "\n"
         )
-        self._fh = self.results_path.open("a", encoding="utf-8")
+        self._fd = os.open(
+            self.results_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
+        )
         return self
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
         self.write_index()
 
     def __enter__(self) -> "ResultStore":
@@ -101,10 +198,10 @@ class ResultStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- reading -------------------------------------------------------
+    # -- indexing ------------------------------------------------------
 
-    def _load(self) -> dict[str, dict]:
-        """Replay the JSONL, healing the tail a mid-write kill leaves.
+    def _load(self) -> None:
+        """Index the JSONL, healing the tail a mid-write kill leaves.
 
         A process killed inside :meth:`append` leaves either a torn
         final line (unparseable) or a complete final line with no
@@ -115,31 +212,56 @@ class ResultStore:
         good newline; a newline-less good line gets its newline.
         Mid-file garbage (not our crash mode) is skipped, never healed.
         """
-        entries: dict[str, dict] = {}
+        self._index, self._scanned = {}, 0
         if not self.results_path.exists():
-            return entries
+            return
         raw = self.results_path.read_bytes()
-        offset = 0
-        for chunk in raw.splitlines(keepends=True):
-            end = offset + len(chunk)
-            line = chunk.strip()
-            if line:
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    if end >= len(raw):  # torn tail from a killed append
-                        self._quarantine_tail(chunk, offset)
-                        break
-                    offset = end
-                    continue  # mid-file garbage: tolerated, not healed
-                key = entry.get("key")
-                if key:
-                    entries[key] = entry
-            offset = end
-        if raw and not raw.endswith(b"\n") and self.quarantined == 0:
+        self._index_lines(raw)
+        tail = raw[self._scanned:]
+        if not tail:
+            return
+        try:
+            self._index_line(tail, self._scanned)
+        except ValueError:  # torn tail from a killed append
+            self._quarantine_tail(tail, self._scanned)
+        else:  # complete line, interrupted before EOL
             with self.results_path.open("ab") as fh:
-                fh.write(b"\n")  # complete line, interrupted before EOL
-        return entries
+                fh.write(b"\n")
+            self._scanned = len(raw) + 1
+
+    def _index_lines(self, raw: bytes) -> int:
+        """Index every newline-terminated line of ``raw``, the file's
+        bytes from offset ``_scanned`` on, and advance ``_scanned`` past
+        them.  Returns the number of keys that are new or now point at
+        a later line."""
+        base, pos, changed = self._scanned, 0, 0
+        while (newline := raw.find(b"\n", pos)) >= 0:
+            try:
+                changed += self._index_line(raw[pos:newline], base + pos)
+            except ValueError:
+                pass  # mid-file garbage: tolerated, not healed
+            pos = newline + 1
+        self._scanned = base + pos
+        return changed
+
+    def _index_line(self, chunk: bytes, offset: int) -> int:
+        """Index the line ``chunk`` found at byte ``offset``: 1 if its
+        key is new or moves to this line, else 0.  Raises
+        :class:`ValueError` if the line is not one JSON object."""
+        text = chunk.decode()
+        key, status, start, end = scan_line(text)
+        if not key or not isinstance(key, str):
+            return 0
+        if len(text) != len(chunk):  # non-ASCII: map characters to bytes
+            start, end = len(text[:start].encode()), len(text[:end].encode())
+        slot = self._index.get(key)
+        if slot is not None and slot[1] >= offset:
+            return 0  # a later line for this key is already indexed
+        status = sys.intern(status) if isinstance(status, str) else None
+        self._index[key] = (
+            status, offset, offset + len(chunk), offset + start, offset + end
+        )
+        return 1
 
     def _quarantine_tail(self, fragment: bytes, offset: int) -> None:
         """Move a torn trailing fragment aside and truncate to it."""
@@ -149,111 +271,134 @@ class ResultStore:
             fh.truncate(offset)
         self.quarantined += 1
 
+    def reload(self) -> int:
+        """Index the lines appended since the last scan — by *other*
+        processes sharing this directory, too.  Read-only: unlike
+        :meth:`_load` it never heals the tail (another server may be
+        mid-append); a line still being written waits for the next
+        reload.  Returns the number of new-or-updated keys."""
+        with self._lock:
+            size = os.fstat(self._fd).st_size
+            return self._index_lines(
+                os.pread(self._fd, size - self._scanned, self._scanned)
+            )
+
+    # -- reading -------------------------------------------------------
+
+    def get(self, key: str) -> tuple[str, bytes] | None:
+        """Thread-safe point lookup — the service's cache-hit read path:
+        ``(status, record)`` for the latest entry of ``key``, the record
+        as its stored JSON bytes, or ``None``."""
+        with self._lock:
+            slot = self._index.get(key)
+            if slot is None:
+                return None
+            status, _, _, start, end = slot
+            return status, os.pread(self._fd, end - start, start) or b"null"
+
+    def _parsed(self, keep) -> dict[str, dict]:
+        """Parse from disk the latest entry of every key ``keep(status)``
+        accepts."""
+        with self._lock:
+            return {
+                key: json.loads(os.pread(self._fd, end - start, start))
+                for key, (status, start, end, _, _) in self._index.items()
+                if keep(status)
+            }
+
     def entries(self) -> dict[str, dict]:
         """Latest entry per key (all statuses)."""
-        with self._lock:
-            return dict(self._entries)
-
-    def get(self, key: str) -> dict | None:
-        """Thread-safe point lookup: the latest entry for ``key`` (any
-        status), or ``None`` — the service's cache-hit read path."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def reload(self) -> int:
-        """Re-read the JSONL, merging entries appended by *other*
-        processes sharing this directory.  Read-only — unlike
-        :meth:`_load` it never heals the tail (another server may be
-        mid-append), it just skips unparseable fragments.  Returns the
-        number of new-or-updated keys."""
-        if not self.results_path.exists():
-            return 0
-        raw = self.results_path.read_bytes()
-        fresh: dict[str, dict] = {}
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            key = entry.get("key")
-            if key:
-                fresh[key] = entry
-        with self._lock:
-            updated = sum(
-                1 for k, e in fresh.items() if self._entries.get(k) != e
-            )
-            self._entries.update(fresh)
-        return updated
+        return self._parsed(lambda status: True)
 
     def completed(self) -> dict[str, dict]:
         """Keys that finished successfully — the resume skip set.
         Failed/timeout/crashed points are *not* in it: a resumed
         campaign retries them."""
-        with self._lock:
-            return {
-                key: entry
-                for key, entry in self._entries.items()
-                if entry.get("status") == "ok"
-            }
+        return self._parsed(lambda status: status == "ok")
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     # -- writing -------------------------------------------------------
 
-    def append(self, entry: dict) -> None:
-        """Persist one point outcome immediately (crash durability:
-        flushed *and* fsynced, so a power cut after ``append`` returns
-        cannot lose the entry, only ever tear a line mid-write)."""
+    def append(self, entry: dict) -> bytes:
+        """Persist one point outcome immediately and return its record's
+        stored JSON bytes.  Crash durability: the line is fsynced before
+        ``append`` returns, so a power cut cannot lose the entry, only
+        ever tear a line mid-write."""
+        line, start, end = compose_line(entry)
         with self._lock:
-            if self._fh is None:
+            if self._fd is None:
                 raise RuntimeError("ResultStore.append before open()")
-            self._entries[entry["key"]] = entry
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            view = memoryview(line)
+            while view:
+                view = view[os.write(self._fd, view):]
+            os.fsync(self._fd)
+            stop = os.lseek(self._fd, 0, os.SEEK_CUR)  # O_APPEND: our end
+            offset = stop - len(line)
+            if offset == self._scanned:  # nobody else appended meanwhile
+                self._scanned = stop
+            status = entry.get("status")
+            self._index[entry["key"]] = (
+                sys.intern(status) if isinstance(status, str) else None,
+                offset, stop - 1, offset + start, offset + end,
+            )
+        return line[start:end] or b"null"
 
     def compact(self, valid_keys) -> int:
         """Rewrite the JSONL keeping only the latest entry per key in
         ``valid_keys``, ordered by grid index.  Returns the number of
         stale entries dropped (superseded duplicates + invalidated
-        keys)."""
+        keys).
+
+        Atomic: the kept lines go to ``results.jsonl.tmp``, which is
+        fsynced and then renamed over ``results.jsonl`` (the directory
+        fsynced after), so a failure mid-rewrite leaves the old file
+        whole."""
         valid = set(valid_keys)
-        keep = [e for k, e in self._entries.items() if k in valid]
-        keep.sort(key=lambda e: (e.get("index", 0), e.get("key", "")))
-        was_open = self._fh is not None
-        if was_open:
-            self._fh.close()
-        raw_lines = 0
-        if self.results_path.exists():
-            with self.results_path.open(encoding="utf-8") as fh:
-                raw_lines = sum(1 for line in fh if line.strip())
-        with self.results_path.open("w", encoding="utf-8") as fh:
-            for entry in keep:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._entries = {e["key"]: e for e in keep}
-        if was_open:
-            self._fh = self.results_path.open("a", encoding="utf-8")
-        return raw_lines - len(keep)
+        tmp = self.directory / "results.jsonl.tmp"
+        with self._lock:
+            raw = os.pread(self._fd, os.fstat(self._fd).st_size, 0)
+            keep = []
+            for key, (_, start, end, _, _) in self._index.items():
+                if key in valid:
+                    line = raw[start:end]
+                    keep.append(((json.loads(line).get("index", 0), key), line))
+            keep.sort(key=lambda pair: pair[0])
+            try:
+                with tmp.open("wb") as fh:
+                    for _, line in keep:
+                        fh.write(line + b"\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+            os.replace(tmp, self.results_path)
+            dir_fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+            os.close(self._fd)
+            self._fd = os.open(self.results_path, os.O_RDWR | os.O_APPEND)
+            self._load()
+        return sum(1 for line in raw.splitlines() if line.strip()) - len(keep)
 
     def write_index(self) -> Path:
         statuses: dict[str, int] = {}
-        for entry in self._entries.values():
-            status = entry.get("status", "unknown")
+        keys: dict[str, str] = {}
+        for key, slot in sorted(self._index.items()):
+            status = "unknown" if slot[0] is None else slot[0]
             statuses[status] = statuses.get(status, 0) + 1
+            keys[key] = status
         self.index_path.write_text(
             json.dumps(
                 {
                     "schema": STORE_SCHEMA,
-                    "points": len(self._entries),
+                    "points": len(self._index),
                     "statuses": statuses,
-                    "keys": {
-                        key: entry.get("status", "unknown")
-                        for key, entry in sorted(self._entries.items())
-                    },
+                    "keys": keys,
                 },
                 indent=2,
                 sort_keys=True,
@@ -289,9 +434,9 @@ class ShardedStore:
     the same shard — that is what lets multiple service processes share
     one cache directory: each append is a single fsynced ``O_APPEND``
     line in the key's shard file, and :meth:`reload` folds in lines
-    other processes appended since open.  The shard count is pinned in
-    ``shards.json`` at first open; reopening with a different count is
-    an error (it would silently re-route every key).
+    other processes appended since the last scan.  The shard count is
+    pinned in ``shards.json`` at first open; reopening with a different
+    count is an error (it would silently re-route every key).
 
     The read path (:meth:`get`) and write path (:meth:`append`) are
     thread-safe via the per-shard store locks.
@@ -352,14 +497,16 @@ class ShardedStore:
 
     # -- reading / writing ---------------------------------------------
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> tuple[str, bytes] | None:
+        """``(status, stored record bytes)`` for ``key``, or ``None``."""
         return self.store_for(key).get(key)
 
-    def append(self, entry: dict) -> None:
-        self.store_for(entry["key"]).append(entry)
+    def append(self, entry: dict) -> bytes:
+        """Persist ``entry`` in its shard; returns the stored record bytes."""
+        return self.store_for(entry["key"]).append(entry)
 
     def reload(self) -> int:
-        """Fold in entries appended by other processes since open."""
+        """Fold in entries appended by other processes since the last scan."""
         return sum(store.reload() for store in self._stores)
 
     def entries(self) -> dict[str, dict]:

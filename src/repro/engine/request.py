@@ -185,7 +185,8 @@ class RunRequest:
         Processor count (network layers round it to the topology's
         natural grid, exactly like the CLI).
     topology:
-        Table 1 topology name, used only by ``network`` layers.
+        Table 1 topology name, used only by ``network`` layers; a name
+        outside ``TOPOLOGY_BUILDERS`` is rejected here, at intake.
     params:
         Model-parameter overrides merged over :data:`DEFAULT_PARAMS`
         (keys ``L``/``o``/``G`` for LogP, ``g``/``l`` for BSP).
@@ -243,6 +244,16 @@ class RunRequest:
         if self.p < 1:
             raise ParameterError(f"RunRequest needs p >= 1, got {self.p}")
         guest, hosts = parse_chain(chain)  # validates the chain shape
+        if self.topology != DEFAULT_TOPOLOGY:
+            from repro.networks.params import TOPOLOGY_BUILDERS
+
+            if not isinstance(self.topology, str) or (
+                self.topology not in TOPOLOGY_BUILDERS
+            ):
+                raise ParameterError(
+                    f"unknown topology {self.topology!r}; choose from "
+                    f"{sorted(TOPOLOGY_BUILDERS)}"
+                )
         if self.kernel is not None:
             from repro.perf.event_queue import KERNELS
 

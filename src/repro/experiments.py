@@ -443,10 +443,7 @@ def _inspect(args) -> int:
     from repro.obs import CostModelCheck, Observation
 
     req = _request_from_args(args)
-    try:
-        stack = Stack.from_request(req)
-    except KeyError as exc:  # an unknown topology name
-        raise ParameterError(exc.args[0]) from None
+    stack = Stack.from_request(req)
     obs = Observation(trace=bool(args.trace))
     result = stack.run(obs=obs)
 
@@ -776,12 +773,16 @@ def _serve_smoke(cfg, args) -> int:
             await client.close()
             server.close()
             await server.wait_closed()
-            return stats, wave1 + wave2
+            return stats, wave1, wave2
 
-    stats, responses = asyncio.run(_main())
+    stats, wave1, wave2 = asyncio.run(_main())
+    responses = wave1 + wave2
     n = len(docs)
     checks = [
         ("every response ok", all(r.get("ok") for r in responses)),
+        ("hit records == computed records",
+         [r.get("record") for r in wave2]
+         == [r.get("record") for r in wave1[::copies]]),
         ("requests == issued", stats["requests"] == n * copies + n),
         ("counters reconcile", stats["reconciled"]),
         (f"miss == {n} unique", stats["miss"] == n),
@@ -825,6 +826,8 @@ def _request(args) -> int:
                 return rs, svc.stats.as_dict()
 
         responses, stats = asyncio.run(_go())
+        for resp in responses:  # in-process records are the stored bytes
+            resp["record"] = json.loads(resp["record"])
     else:
         from repro.service import request_sync
 

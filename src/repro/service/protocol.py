@@ -7,6 +7,10 @@ pipeline many ops on one connection and match responses by id::
     -> {"op": "run", "id": 1, "request": {"chain": "bsp-on-logp", "p": 8}}
     <- {"id": 1, "ok": true, "outcome": "miss", "record": {...}, ...}
 
+A ``run`` response carries the record exactly as the store holds it:
+the server serializes only the small response header and splices the
+stored record bytes in, so it never parses or re-serializes a record.
+
 Ops: ``run`` (resolve one request document), ``stats`` (the service's
 reconciling counters), ``reload`` (fold in points other servers
 appended to the shared store), ``ping``.  Every ``run`` is handled in
@@ -61,9 +65,12 @@ async def _handle_connection(service, reader, writer) -> None:
     write_lock = asyncio.Lock()
     tasks: set[asyncio.Task] = set()
 
-    async def reply(doc: dict) -> None:
+    async def reply(doc: dict, record: bytes | None = None) -> None:
+        frame = json.dumps(doc).encode()
+        if record is not None:  # splice the stored record in, unparsed
+            frame = b"".join((frame[:-1], b', "record": ', record, b"}"))
         async with write_lock:  # run tasks finish out of order
-            writer.write(json.dumps(doc).encode() + b"\n")
+            writer.write(frame + b"\n")
             await writer.drain()
 
     async def handle_run(doc: dict) -> None:
@@ -73,7 +80,8 @@ async def _handle_connection(service, reader, writer) -> None:
         except Exception as exc:  # noqa: BLE001 — report, keep serving
             await reply(_error(f"{type(exc).__name__}: {exc}", req_id))
             return
-        await reply({"id": req_id, **response})
+        record = response.pop("record")
+        await reply({"id": req_id, **response}, record)
 
     try:
         while True:

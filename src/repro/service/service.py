@@ -8,7 +8,9 @@ first:
 1. **cache hit** — the request's content-addressed key (the same
    :func:`~repro.campaign.spec.point_key` campaign points use) is
    already ``ok`` in the :class:`~repro.campaign.store.ShardedStore`;
-   the stored record is returned without touching the pool.
+   the store's index gives the record's byte range, one ``pread``
+   returns its stored JSON bytes, and nothing is parsed, serialized or
+   sent to the pool.
 2. **in-flight dedup** — an identical request is being computed right
    now; this submit awaits the same future, so N concurrent identical
    requests cost one computation and produce N responses.
@@ -20,7 +22,8 @@ first:
    coalesce more misses.  Every finished point is appended to the
    store *as it lands* (crash durability is the store's: fsynced JSONL,
    torn-tail healing on reopen) and its waiters are resolved from the
-   pool callback thread via ``call_soon_threadsafe``.
+   pool callback thread via ``call_soon_threadsafe`` with the record
+   bytes the append stored — the same bytes a later hit reads back.
 
 The store is sharded by key prefix, so several service processes can
 share one cache directory: each sees the others' finished points after
@@ -173,11 +176,10 @@ class SimulationService:
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
-        for key, fut in list(self._inflight.items()):
+        for fut in self._inflight.values():
             if not fut.done():
                 fut.set_result(
-                    {"key": key, "status": "failed", "record": None,
-                     "error": "service closed before this point ran"}
+                    ("failed", b"null", "service closed before this point ran")
                 )
         self._inflight.clear()
         if self.store is not None:
@@ -196,56 +198,56 @@ class SimulationService:
         """Resolve one request: cache hit, in-flight join, or computed.
 
         Returns a response dict: ``{ok, key, outcome, status, record,
-        error}`` with ``outcome`` one of ``hit | dedup | miss``.
+        error}`` with ``outcome`` one of ``hit | dedup | miss``.  The
+        ``record`` is the record's stored JSON bytes (``b"null"`` for a
+        point that produced none), so hit, dedup and miss return
+        byte-identical records; ``json.loads`` it for the object.
         """
         req = RunRequest.coerce(request)
         key = req.key(self.fingerprint)
         self.stats.requests += 1
         t0 = time.perf_counter()
 
-        entry = self.store.get(key)
-        if entry is not None and entry.get("status") == "ok":
+        found = self.store.get(key)
+        if found is not None and found[0] == "ok":
             self.stats.record("hit", time.perf_counter() - t0)
-            return self._response(key, entry, "hit")
+            return self._response(key, "hit", "ok", found[1], None)
 
+        outcome = "dedup"
         fut = self._inflight.get(key)
-        if fut is not None:
-            entry = await asyncio.shield(fut)
-            ok = entry.get("status") == "ok"
-            self.stats.record("dedup", time.perf_counter() - t0, ok=ok)
-            return self._response(key, entry, "dedup")
-
-        fut = self._loop.create_future()
-        self._inflight[key] = fut
-        self._pending.append((key, req))
-        self._kick.set()
-        entry = await asyncio.shield(fut)
-        ok = entry.get("status") == "ok"
-        self.stats.record("miss", time.perf_counter() - t0, ok=ok)
-        return self._response(key, entry, "miss")
+        if fut is None:
+            outcome = "miss"
+            fut = self._loop.create_future()
+            self._inflight[key] = fut
+            self._pending.append((key, req))
+            self._kick.set()
+        status, record, error = await asyncio.shield(fut)
+        self.stats.record(outcome, time.perf_counter() - t0, ok=status == "ok")
+        return self._response(key, outcome, status, record, error)
 
     def reload(self) -> int:
         """Fold in points other servers appended to the shared store."""
         return self.store.reload()
 
     @staticmethod
-    def _response(key: str, entry: dict, outcome: str) -> dict:
+    def _response(key: str, outcome: str, status, record: bytes, error) -> dict:
         return {
-            "ok": entry.get("status") == "ok",
+            "ok": status == "ok",
             "key": key,
             "outcome": outcome,
-            "status": entry.get("status"),
-            "record": entry.get("record"),
-            "error": entry.get("error"),
+            "status": status,
+            "record": record,
+            "error": error,
         }
 
     # -- miss dispatch -------------------------------------------------
 
-    def _resolve(self, key: str, entry: dict) -> None:
-        """Loop-thread continuation for one landed point."""
+    def _resolve(self, key: str, landed: tuple) -> None:
+        """Loop-thread continuation for one landed point: ``landed`` is
+        its ``(status, record bytes, error)``."""
         fut = self._inflight.pop(key, None)
         if fut is not None and not fut.done():
-            fut.set_result(entry)
+            fut.set_result(landed)
 
     async def _dispatch_loop(self) -> None:
         """Ship pending misses to the pool, batch by batch.  One batch
@@ -279,9 +281,13 @@ class SimulationService:
 
             def on_result(entry: dict) -> None:
                 # Pool callback thread: persist first (fsynced, so the
-                # point survives a kill), then wake the waiters.
-                self.store.append(entry)
-                loop.call_soon_threadsafe(self._resolve, entry["key"], entry)
+                # point survives a kill), then wake the waiters with the
+                # record's stored bytes.
+                record = self.store.append(entry)
+                loop.call_soon_threadsafe(
+                    self._resolve, entry["key"],
+                    (entry["status"], record, entry.get("error")),
+                )
 
             try:
                 await asyncio.to_thread(
@@ -295,18 +301,11 @@ class SimulationService:
             except Exception as exc:  # noqa: BLE001 — keep serving
                 error = f"pool dispatch failed: {type(exc).__name__}: {exc}"
                 for item in items:
-                    self._resolve(
-                        item["key"],
-                        {"key": item["key"], "index": item["index"],
-                         "point": item["point"], "status": "failed",
-                         "record": None, "error": error},
-                    )
+                    self._resolve(item["key"], ("failed", b"null", error))
                 continue
             for item in items:  # points the pool never reported
                 self._resolve(
                     item["key"],
-                    {"key": item["key"], "index": item["index"],
-                     "point": item["point"], "status": "crashed",
-                     "record": None,
-                     "error": "pool finished without reporting this point"},
+                    ("crashed", b"null",
+                     "pool finished without reporting this point"),
                 )

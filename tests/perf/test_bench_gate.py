@@ -9,13 +9,17 @@ reports so the rules are pinned without running any timed workload:
   with no committed baseline;
 * it must also stay within the ratio gate of its committed speedup;
 * committed baselines are read in both the v2 per-kernel layout and the
-  legacy v1 event-only one.
+  legacy v1 event-only one;
+* ``--obs-check`` times its two sides in interleaved pairs and gates the
+  median of the per-pair ratios (``paired_overhead``, on a fake clock).
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 BENCH_PATH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_kernel.py"
@@ -113,3 +117,51 @@ class TestCommittedSpeedupLayouts:
 
     def test_missing_entry(self):
         assert bench_kernel._committed_speedup(None, "event") is None
+
+
+class FakeHost:
+    """A clock that only the timed sides advance: each run costs its
+    base cost, inflated by ``drift`` per run so far (a host that slows
+    down as the benchmark goes on)."""
+
+    def __init__(self, drift: float = 0.0) -> None:
+        self.now, self.drift, self.calls = 0.0, drift, []
+
+    def clock(self) -> float:
+        return self.now
+
+    def side(self, name: str, cost: float, events: int):
+        def run() -> int:
+            self.calls.append(name)
+            self.now += cost * (1 + self.drift * len(self.calls))
+            return events
+
+        return run
+
+
+class TestPairedOverhead:
+    def overhead(self, host, base_cost, other_cost, pairs, base_events=1,
+                 other_events=1):
+        return bench_kernel.paired_overhead(
+            host.side("base", base_cost, base_events),
+            host.side("other", other_cost, other_events),
+            pairs, clock=host.clock,
+        )
+
+    def test_each_pair_flips_which_side_goes_first(self):
+        host = FakeHost()
+        self.overhead(host, 1.0, 1.0, 4)
+        assert host.calls == ["base", "other", "other", "base"] * 2
+
+    def test_reads_the_ratio_and_both_event_counts(self):
+        overhead, base_events, other_events = self.overhead(
+            FakeHost(), 1.0, 1.03, 5, base_events=7, other_events=9)
+        assert overhead == pytest.approx(0.03)
+        assert (base_events, other_events) == (7, 9)
+
+    def test_host_drift_lands_on_both_sides(self):
+        """Identical sides on a host slowing 2% per run: the interleaved
+        median reads ~0, where timing every base run first and comparing
+        best-of-N would read +16%."""
+        overhead, _, _ = self.overhead(FakeHost(drift=0.02), 1.0, 1.0, 8)
+        assert abs(overhead) < 0.01

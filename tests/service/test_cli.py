@@ -50,6 +50,13 @@ class TestRequestCLI:
                        "--store", store) == 0
         assert "hit/ok" in capsys.readouterr().out
 
+    def test_local_json_prints_records_as_objects(self, tmp_path, capsys):
+        assert run_cli("request", "bsp", "--p", "4", "--local", "--json",
+                       "--store", str(tmp_path / "store")) == 0
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert doc["outcome"] == "miss"
+        assert isinstance(doc["record"], dict) and doc["record"]["cost_check"]
+
     def test_param_overrides_parse(self, tmp_path, capsys):
         rc = run_cli(
             "request", "bsp-on-logp", "--p", "4", "--param", "L=32",

@@ -87,6 +87,29 @@ class TestRoundTrip:
         assert [r["id"] for r in responses] == [3, 1, 2]
 
 
+class TestStoredRecords:
+    def test_hit_record_equals_miss_record(self, tmp_path):
+        """Both records are the bytes the store holds, spliced in as-is."""
+        run = json.dumps({"op": "run", "id": 1, "request": DOC}).encode() + b"\n"
+
+        async def body(svc, host, port):
+            frames = []
+            for _ in range(2):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(run)
+                frames.append(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+            miss, hit = (json.loads(f) for f in frames)
+            return frames, miss, hit, svc.store.get(miss["key"])[1]
+
+        frames, miss, hit, stored = with_server(tmp_path, body)
+        assert (miss["outcome"], hit["outcome"]) == ("miss", "hit")
+        assert isinstance(miss["record"], dict) and miss["record"]["cost_check"]
+        assert hit["record"] == miss["record"] == json.loads(stored)
+        assert all(b'"record": ' + stored + b"}" in f for f in frames)
+
+
 class TestCrossConnectionDedup:
     def test_many_sockets_one_computation(self, tmp_path):
         n = 6

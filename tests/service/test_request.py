@@ -38,6 +38,11 @@ class TestSchema:
             RunRequest(chain="bsp-on-logp", kernel="warp")
         with pytest.raises(ParameterError, match="params key 'x'"):
             RunRequest(chain="bsp", params={"x": 1})
+        for topology in ("torus", ["ccc"]):  # at intake, not in the pool
+            with pytest.raises(ParameterError, match=(
+                    r"unknown topology .*; choose from \[.*'butterfly'")):
+                RunRequest.coerce({"chain": "bsp-on-network",
+                                   "topology": topology})
 
     @pytest.mark.parametrize("chain", ["bsp-on-logp", "bsp-on-network"])
     @pytest.mark.parametrize("kernel", ["superstep", "adaptive"])

@@ -139,6 +139,17 @@ class TestHitPath:
         assert stats.counts["hit"] == 5
         assert stats.reconciled()
 
+    def test_records_are_the_stored_bytes(self, tmp_path):
+        async def body(svc):
+            miss = await svc.submit(DOC)
+            hit = await svc.submit(DOC)
+            return miss, hit, svc.store.get(miss["key"])
+
+        miss, hit, stored = run_service(tmp_path, body)
+        assert stored == ("ok", miss["record"])
+        assert isinstance(hit["record"], bytes) and hit["record"] == miss["record"]
+        assert json.loads(hit["record"])["cost_check"]
+
     def test_hits_survive_service_restart(self, tmp_path):
         async def first(svc):
             await svc.submit(DOC)

@@ -46,7 +46,8 @@ class TestRouting:
         with ShardedStore(tmp_path, shards=4).open(SPEC, "fp") as store:
             store.append(_entry(key, payload=7))
         with ShardedStore(tmp_path, shards=4).open(SPEC, "fp") as store:
-            assert store.get(key)["record"]["payload"] == 7
+            status, record = store.get(key)
+            assert status == "ok" and json.loads(record)["payload"] == 7
             assert len(store) == 1
 
 
@@ -78,7 +79,7 @@ class TestCrossServer:
             second.append(_entry(key, payload=42))
             assert first.get(key) is None  # not yet folded in
             assert first.reload() == 1
-            assert first.get(key)["record"]["payload"] == 42
+            assert json.loads(first.get(key)[1])["payload"] == 42
             assert first.reload() == 0  # idempotent
         finally:
             first.close()

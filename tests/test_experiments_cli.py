@@ -74,6 +74,7 @@ CASES = [
     ("request bsp --workload jacobi --arg n", "--arg expects K=V, got 'n'"),
     ("request bsp --param L=8.5 --dry-run", "params L must be an integer"),
     ("request bsp --param L=8 --param L=16 --dry-run", "gives 'L' twice"),
+    ("request bsp-on-network --topology nope --dry-run", "unknown topology 'nope'"),
     ("campaign demo --grid x=1 --base y=1,2", "--base expects K=V"),
     ("campaign demo --grid x=1 --base p=8,16", "got '16' (in 'p=8,16')"),
     ("campaign demo --grid x=", "--grid expects AXIS=V1,V2,..."),
