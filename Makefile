@@ -1,6 +1,6 @@
 # Convenience targets; everything also works as plain pytest invocations.
 
-.PHONY: install test lint bench bench-only bench-kernel bench-service campaign-smoke dist-smoke serve-smoke workloads-smoke perfbench-smoke trace-demo faults experiments examples clean
+.PHONY: install test lint bench bench-only bench-kernel bench-service campaign-smoke dist-smoke serve-smoke workloads-smoke perfbench-smoke trace-demo experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -54,10 +54,10 @@ dist-smoke:
 # TCP server on an ephemeral port, drive 15 requests through real
 # sockets (3 unique points x 4 concurrent copies, then 3 repeats), and
 # self-check the counters: 3 misses, 9 in-flight dedups, 3 cache hits,
-# pool saw exactly the 3 unique points, stats reconcile.
+# pool saw exactly the 3 unique points, stats reconcile.  Each run uses
+# a fresh temporary store, so it can be repeated.
 serve-smoke:
-	PYTHONPATH=src python -m repro.experiments serve --smoke \
-		--store campaigns/service-smoke
+	PYTHONPATH=src python -m repro.experiments serve --smoke
 
 # Workload library end to end (see docs/WORKLOADS.md): every registered
 # entry, every supported quick-grid point, run through the RunRequest
@@ -88,13 +88,10 @@ bench-service:
 trace-demo:
 	PYTHONPATH=src python -m repro.experiments inspect bsp-on-logp-on-network --metrics --trace trace.json
 
-# Fault-resilience slowdown tables (full grid, ~2 s; see benchmarks/results/).
-# PYTHONPATH=src so the target also works without `make install`.
-faults:
-	PYTHONPATH=src pytest benchmarks/bench_fault_resilience.py -q
-
-# Every paper table (T1, TH1, P1, TH2, TH3, ST, OB1, WP), a few seconds:
-# the same tables `make bench` publishes to benchmarks/results/.
+# Every committed table, a few seconds: the ids T1, TH1, P1, TH2, TH3,
+# ST, OB1, WP, AB, APP, BF, FR, SRT, PS and NS print every file that
+# `make bench` writes to benchmarks/results/ (`run FR` alone gives the
+# fault-resilience tables).
 experiments:
 	PYTHONPATH=src python -m repro.experiments run all
 

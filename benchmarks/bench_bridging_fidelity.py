@@ -1,89 +1,45 @@
 """Experiment BF (extension of §5) — bridging-model fidelity.
 
 The point of a bridging model: two parameters (g, l) should predict a
-program's cost on a real network.  For each Table 1 topology we run a
-real BSP application (the paper's radix-sort example), price every
-superstep with *measured* packet routing + a tree barrier, and compare
-against the abstract machine priced at the topology's best attainable
-(g*, l*).  A bounded prediction ratio across topologies is the §5 claim
-made executable.
+program's cost on a real network.  For each Table 1 topology the ``BF``
+builder runs a real BSP application (the paper's radix-sort example),
+prices every superstep with *measured* packet routing + a tree barrier,
+and compares against the abstract machine priced at the topology's best
+attainable (g*, l*).  A bounded prediction ratio across topologies is
+the §5 claim made executable.
 """
 
 import pytest
 
-from repro.core.network_support import derive_model_support
-from repro.models.params import BSPParams
 from repro.networks.backed import run_on_network
 from repro.networks.params import make_topology
 from repro.programs import bsp_radix_sort_program
-from repro.util.tables import render_table
 
-NAMES = (
-    "d-dim array",
-    "hypercube (multi-port)",
-    "hypercube (single-port)",
-    "butterfly",
-    "ccc",
-    "shuffle-exchange",
-    "mesh-of-trees",
-)
-
-
-def _app(p):
-    return bsp_radix_sort_program(keys_per_proc=4, key_bits=8, seed=11)
+EXPERIMENT = "BF"
 
 
 @pytest.fixture(scope="module")
-def survey():
-    rows = []
-    for name in NAMES:
-        topo, config = make_topology(name, 16)
-        support = derive_model_support(topo, table_name=name, config=config)
-        backed = run_on_network(topo, _app(topo.p), config=config)
-        flat = [k for block in backed.results for k in block]
-        assert flat == sorted(flat)
-        predicted = backed.abstract_cost(
-            BSPParams(p=topo.p, g=support.g_star, l=support.l_star)
-        )
-        rows.append((name, topo.p, support, backed, predicted))
-    return rows
+def survey(paper_tables):
+    return paper_tables["bridging_fidelity"].records
 
 
-def test_bridging_fidelity_report(survey, publish, benchmark):
+def test_bridging_fidelity_report(survey, benchmark):
     topo, config = make_topology("d-dim array", 16)
     benchmark.pedantic(
-        lambda: run_on_network(topo, _app(topo.p), config=config), rounds=1, iterations=1
-    )
-    table = []
-    for name, p, support, backed, predicted in survey:
-        table.append(
-            (
-                name,
-                p,
-                support.g_star,
-                support.l_star,
-                backed.network_cost,
-                predicted,
-                f"{backed.network_cost / predicted:.2f}",
-            )
-        )
-    publish(
-        "bridging_fidelity",
-        render_table(
-            ["topology", "p", "g*", "l*", "measured cost", "w + g*h + l* cost", "ratio"],
-            table,
-            title=(
-                "Bridging-model fidelity: BSP radix sort priced by real packet "
-                "routing vs the abstract (g*, l*) machine"
-            ),
+        lambda: run_on_network(
+            topo, bsp_radix_sort_program(keys_per_proc=4, key_bits=8, seed=11),
+            config=config,
         ),
+        rounds=1,
+        iterations=1,
     )
+    for rec in survey:
+        assert rec["keys"] == sorted(rec["keys"]), rec["topology"]
 
 
 def test_prediction_ratio_bounded(survey):
-    for name, _p, _s, backed, predicted in survey:
-        ratio = backed.network_cost / predicted
-        assert 0.2 <= ratio <= 5.0, (name, ratio)
+    for rec in survey:
+        assert 0.2 <= rec["ratio"] <= 5.0, (rec["topology"], rec["ratio"])
 
 
 def test_results_identical_across_topologies(survey):
@@ -91,9 +47,8 @@ def test_results_identical_across_topologies(survey):
     same answer on every network of the same size (only cost differs;
     butterfly/CCC round to their structural sizes and sort fewer keys)."""
     by_p: dict[int, list] = {}
-    for _name, p, _s, backed, _pred in survey:
-        flat = [k for block in backed.results for k in block]
-        by_p.setdefault(p, []).append(flat)
+    for rec in survey:
+        by_p.setdefault(rec["p"], []).append(rec["keys"])
     assert len(by_p[16]) >= 4
     for p, runs in by_p.items():
         assert all(r == runs[0] for r in runs), p

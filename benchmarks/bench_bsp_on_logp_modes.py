@@ -1,6 +1,6 @@
-"""Experiments TH2/TH3 (application level) — a full BSP application
-(the paper's §6 radix-sort example) executed on LogP under all three
-routing modes, with per-phase timing.
+"""Experiment APP — a full BSP application (the paper's §6 radix-sort
+example) executed on LogP under all three routing modes, with per-phase
+timing.
 
 The qualitative shape the paper predicts: the on-line deterministic
 protocol pays a large constant (its sorting phase), the randomized
@@ -12,25 +12,18 @@ import pytest
 
 from repro.core.bsp_on_logp import simulate_bsp_on_logp
 from repro.models.params import LogPParams
-from repro.programs import bsp_prefix_program, bsp_radix_sort_program
-from repro.util.tables import render_table
+from repro.programs import bsp_prefix_program
 
-PARAMS = LogPParams(p=16, L=16, o=1, G=2)
-MODES = ("deterministic", "randomized", "offline")
+EXPERIMENT = "APP"
 
 
 @pytest.fixture(scope="module")
-def runs():
-    def prog():
-        return bsp_radix_sort_program(keys_per_proc=8, key_bits=8, seed=17)
-
-    out = {}
-    for mode in MODES:
-        out[mode] = simulate_bsp_on_logp(PARAMS, prog(), routing=mode, seed=29)
-    return out
+def runs(paper_tables):
+    """routing mode -> its record."""
+    return {rec["routing"]: rec for rec in paper_tables["bsp_on_logp_modes"].records}
 
 
-def test_modes_report(runs, publish, benchmark):
+def test_modes_report(runs, benchmark):
     benchmark.pedantic(
         lambda: simulate_bsp_on_logp(
             LogPParams(p=8, L=16, o=1, G=2), bsp_prefix_program(), routing="offline"
@@ -38,58 +31,29 @@ def test_modes_report(runs, publish, benchmark):
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for mode, rep in runs.items():
-        sync = sum(t.t_sync for t in rep.timings)
-        route = sum(t.t_route for t in rep.timings)
-        rows.append(
-            (
-                mode,
-                rep.bsp_cost,
-                rep.total_logp_time,
-                sync,
-                route,
-                f"{rep.slowdown:.2f}",
-                f"{rep.predicted_slowdown:.2f}",
-                len(rep.logp.stalls),
-            )
-        )
-    publish(
-        "bsp_on_logp_modes",
-        render_table(
-            ["routing", "BSP cost", "LogP time", "sum T_sync", "sum T_rout", "S meas", "S paper", "stalls"],
-            rows,
-            title=(
-                f"BSP radix sort on LogP (p={PARAMS.p}, L={PARAMS.L}, o=1, G=2): "
-                f"all three Section 4 routing modes"
-            ),
-        ),
-    )
 
 
 def test_all_modes_sort_correctly(runs):
-    for mode, rep in runs.items():
-        flat = [k for block in rep.results for k in block]
-        assert flat == sorted(flat), mode
+    for mode, rec in runs.items():
+        assert rec["sorted"], mode
 
 
 def test_expected_ordering_of_modes(runs):
     """offline <= randomized < deterministic in total time."""
-    assert runs["offline"].total_logp_time <= runs["randomized"].total_logp_time * 1.2
-    assert runs["randomized"].total_logp_time < runs["deterministic"].total_logp_time
+    assert runs["offline"]["logp_time"] <= runs["randomized"]["logp_time"] * 1.2
+    assert runs["randomized"]["logp_time"] < runs["deterministic"]["logp_time"]
 
 
 def test_offline_near_paper_S(runs):
-    rep = runs["offline"]
-    assert rep.slowdown <= 3.0 * rep.predicted_slowdown
+    rec = runs["offline"]
+    assert rec["slowdown"] <= 3.0 * rec["predicted_slowdown"]
 
 
 def test_multi_superstep_routing_linear_in_sum_h(runs):
     """Section 4.3's sequence claim: the communication phases of T
     supersteps cost O(G * sum h_i) under the known-h protocols."""
     for mode in ("offline", "randomized"):
-        rep = runs[mode]
-        sum_h = sum(rec.h for rec in rep.bsp_native.ledger)
-        sum_route = sum(t.t_route for t in rep.timings)
-        budget = 4 * PARAMS.G * sum_h + len(rep.timings) * 6 * PARAMS.L
-        assert sum_route <= budget, (mode, sum_route, budget)
+        rec = runs[mode]
+        params = LogPParams(**rec["params"])
+        budget = 4 * params.G * rec["sum_h"] + rec["supersteps"] * 6 * params.L
+        assert rec["t_route"] <= budget, (mode, rec["t_route"], budget)

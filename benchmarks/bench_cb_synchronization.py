@@ -28,14 +28,12 @@ def sweep(paper_tables):
     return records
 
 
-def test_cb_report(paper_tables, publish, benchmark):
+def test_cb_report(paper_tables, benchmark):
     benchmark.pedantic(
         lambda: measure_cb(LogPParams(p=128, L=8, o=1, G=2), [1] * 128, operator.add),
         rounds=1,
         iterations=1,
     )
-    table = paper_tables["cb_synchronization"]
-    publish(table.name, table.render())
 
 
 def test_within_constant_of_bounds(sweep):
@@ -66,7 +64,7 @@ def test_capacity_speeds_synchronization(sweep):
     assert at_p[4] <= at_p[2] <= at_p[1]
 
 
-def test_staggered_joins_measured_from_last(publish):
+def test_staggered_joins_measured_from_last():
     params = LogPParams(p=64, L=8, o=1, G=2)
     joins = [(i * 17) % 300 for i in range(params.p)]
     m = measure_cb(params, [1] * params.p, operator.add, joins=joins, op_cost=0)

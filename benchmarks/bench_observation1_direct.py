@@ -21,15 +21,13 @@ def survey(paper_tables):
     return paper_tables["observation1_direct"].records
 
 
-def test_observation1_report(paper_tables, publish, benchmark):
+def test_observation1_report(paper_tables, benchmark):
     topo, config = make_topology("d-dim array", 16)
     benchmark.pedantic(
         lambda: derive_model_support(topo, table_name="d-dim array", config=config),
         rounds=1,
         iterations=1,
     )
-    table = paper_tables["observation1_direct"]
-    publish(table.name, table.render())
 
 
 def test_ratios_bounded(survey):

@@ -1,108 +1,46 @@
 """Experiment SRT — the Section 4.2 sorting regimes.
 
-Two artifacts: (a) the analytic AKS-vs-Cubesort crossover in the paper's
-cost model, and (b) the *executable* substitutes — the bitonic merge-split
-network (small r) and Columnsort (large r) — actually sorting on the LogP
-cost scale, showing the same who-wins structure.
+Three artifacts: (a) the analytic AKS-vs-Cubesort crossover in the
+paper's cost model, (b) the *executable* substitutes — the bitonic
+merge-split network (small r) and Columnsort (large r) — actually
+sorting on the LogP cost scale, showing the same who-wins structure,
+and (c) the word-accurate BSP sorters' regimes, whose measured
+sample-sort/bitonic crossover the tier-1 suite pins to the closed forms
+(``tests/workloads/test_families.py``).
 """
 
-import random
-
-from repro.models.cost import t_seq_sort, t_sort_aks, t_sort_cubesort
+from repro.models.cost import t_sort_cubesort
 from repro.models.params import LogPParams
-from repro.sorting import bitonic_schedule, columnsort, run_schedule_locally
-from repro.sorting.columnsort import columnsort_valid
-from repro.util.tables import render_table
 
-PARAMS = LogPParams(p=256, L=16, o=1, G=2)
+EXPERIMENT = "SRT"
 
 
-def test_analytic_crossover_report(publish, benchmark):
+def test_analytic_crossover_report(paper_tables, benchmark):
+    params = LogPParams(p=256, L=16, o=1, G=2)
     benchmark.pedantic(
-        lambda: [t_sort_cubesort(r, PARAMS.p, PARAMS) for r in (1, 64, 4096)],
+        lambda: [t_sort_cubesort(r, params.p, params) for r in (1, 64, 4096)],
         rounds=1,
         iterations=1,
     )
-    rows = []
-    for r in (1, 4, 16, 64, 256, 1024, 4096, 65536):
-        aks = t_sort_aks(r, PARAMS.p, PARAMS)
-        cube = t_sort_cubesort(r, PARAMS.p, PARAMS, include_log_star_term=False)
-        rows.append((r, f"{aks:.3g}", f"{cube:.3g}", "AKS" if aks <= cube else "Cubesort"))
-    publish(
-        "sorting_analytic_crossover",
-        render_table(
-            ["r", "T_AKS", "T_Cubesort (asymptotic)", "winner"],
-            rows,
-            title=f"Paper cost model: sorting crossover at p={PARAMS.p}, L={PARAMS.L}, G={PARAMS.G}",
-        ),
-    )
     # the crossover exists and sits in the large-r region
-    winners = [row[3] for row in rows]
+    winners = [rec["winner"] for rec in paper_tables["sorting_analytic_crossover"].records]
     assert winners[0] == "AKS" and winners[-1] == "Cubesort"
 
 
-def _logp_cost_of_bitonic(p, r, params):
-    """Charged LogP cost of the schedule: per round, r paced 1-relations
-    (2o + G(r-1) + L) + merge O(r); plus the initial local sort."""
-    rounds = len(bitonic_schedule(p))
-    per_round = 2 * params.o + params.G * max(0, r - 1) + params.L + r
-    return t_seq_sort(r, p) + rounds * per_round
+def test_executable_schemes_report(paper_tables, benchmark):
+    import random
 
+    from repro.sorting import bitonic_schedule, run_schedule_locally
 
-def _logp_cost_of_columnsort(s, r, params):
-    """8 fixed steps: 4 local sorts + 4 r-relations routed as r paced
-    1-relations."""
-    per_perm = 2 * params.o + params.G * max(0, r - 1) + params.L
-    return 4 * t_seq_sort(r, s) + 4 * per_perm
-
-
-def test_executable_schemes_report(publish, benchmark):
     rng = random.Random(3)
-    p = 16
-    params = LogPParams(p=p, L=16, o=1, G=2)
-
-    def run_both(r):
-        blocks = [[rng.randrange(10**6) for _ in range(r)] for _ in range(p)]
-        want = sorted(x for b in blocks for x in b)
-        out_b = run_schedule_locally(bitonic_schedule(p), blocks)
-        assert [x for b in out_b for x in b] == want
-        costs = [_logp_cost_of_bitonic(p, r, params)]
-        if columnsort_valid(r, p):
-            out_c = columnsort(blocks)
-            assert [x for b in out_c for x in b] == want
-            costs.append(_logp_cost_of_columnsort(p, r, params))
-        else:
-            costs.append(None)
-        return costs
-
-    benchmark.pedantic(lambda: run_both(8), rounds=1, iterations=1)
-    rows = []
-    for r in (1, 8, 64, 512, 4096):
-        bitonic_cost, column_cost = run_both(r)
-        winner = (
-            "bitonic"
-            if column_cost is None or bitonic_cost <= column_cost
-            else "columnsort"
-        )
-        rows.append(
-            (
-                r,
-                bitonic_cost,
-                column_cost if column_cost is not None else "invalid (r < 2(s-1)^2)",
-                winner,
-            )
-        )
-    publish(
-        "sorting_executable_schemes",
-        render_table(
-            ["r", "bitonic LogP cost", "columnsort LogP cost", "winner"],
-            rows,
-            title=(
-                f"Executable substitutes at p={p}: charged LogP cost of actually "
-                f"sorting r keys/processor (both verified correct)"
-            ),
-        ),
+    blocks = [[rng.randrange(10**6) for _ in range(8)] for _ in range(16)]
+    benchmark.pedantic(
+        lambda: run_schedule_locally(bitonic_schedule(16), blocks), rounds=1, iterations=1
     )
+    records = paper_tables["sorting_executable_schemes"].records
+    for rec in records:
+        assert rec["bitonic_sorted"], rec
+        assert rec["columnsort_sorted"] in (True, None), rec
     # Shape check: columnsort wins in its validity regime (large r).
-    assert rows[-1][3] == "columnsort"
-    assert rows[0][3] == "bitonic"
+    assert records[-1]["winner"] == "columnsort"
+    assert records[0]["winner"] == "bitonic"

@@ -1,11 +1,11 @@
 """Experiment T1 — regenerate **Table 1** of the paper.
 
 The ``T1`` builder routes balanced h-relations on the packet simulator
-for every topology row at two machine sizes and fits
-``T(h) = gamma h + delta``; this bench publishes its table and checks
-the *growth* of the fitted parameters against the table's asymptotic
-forms (constants depend on our store-and-forward substrate; the paper's
-claim is the asymptotic class).
+for every topology row at two machine sizes, and for the d=3 array at
+two sides, and fits ``T(h) = gamma h + delta``; this bench checks the
+*growth* of the fitted parameters against the table's asymptotic forms
+(constants depend on our store-and-forward substrate; the paper's claim
+is the asymptotic class).
 """
 
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro.networks.params import TOPOLOGY_BUILDERS, measure_network_params
 from repro.networks.routing_sim import route_h_relation
-from repro.util.tables import render_table
 
 EXPERIMENT = "T1"
 
@@ -28,7 +27,7 @@ def survey(paper_tables):
     return out
 
 
-def test_table1_report(paper_tables, publish, benchmark):
+def test_table1_report(paper_tables, benchmark):
     topo, config = TOPOLOGY_BUILDERS["hypercube (single-port)"](16)
     benchmark.pedantic(
         lambda: measure_network_params(
@@ -38,8 +37,6 @@ def test_table1_report(paper_tables, publish, benchmark):
         rounds=1,
         iterations=1,
     )
-    table = paper_tables["table1_network_params"]
-    publish(table.name, table.render())
 
 
 def test_gamma_growth_classes(survey):
@@ -74,35 +71,12 @@ def test_fit_quality(survey):
             assert meas["r2"] >= 0.75, f"{name}: poor affine fit (r2={meas['r2']})"
 
 
-def test_d3_array_dimension_dependence(publish):
+def test_d3_array_dimension_dependence(paper_tables):
     """Table 1's array row is parameterized by d: for d=3,
     gamma = delta = Theta(p^{1/3}).  Octupling p (side 4 -> 8) must double
     gamma, unlike the d=2 quadrupling."""
-    from repro.networks.array_nd import ArrayND
-    from repro.networks.routing_sim import RoutingConfig
-
-    rows = []
-    gammas = {}
-    for side in (4, 8):
-        topo = ArrayND((side, side, side))
-        meas = measure_network_params(
-            topo,
-            table_name="d-dim array",
-            hs=(1, 2, 4, 8),
-            seeds=(0, 1),
-            config=RoutingConfig(priority="farthest"),
-        )
-        gammas[side] = max(meas.gamma, 0.3)
-        rows.append((side**3, f"{meas.gamma:.2f}", f"{float(side):.1f}", f"{meas.delta:.2f}"))
-    publish(
-        "table1_d3_array",
-        render_table(
-            ["p", "gamma fit", "p^(1/3)", "delta fit"],
-            rows,
-            title="Table 1, d=3 array: gamma tracks p^(1/3) (x2 per x8 in p)",
-        ),
-    )
-    assert 1.3 <= gammas[8] / gammas[4] <= 3.2
+    small, large = (max(rec["gamma"], 0.3) for rec in paper_tables["table1_d3_array"].records)
+    assert 1.3 <= large / small <= 3.2
 
 
 def test_bench_hypercube_routing_kernel(benchmark):

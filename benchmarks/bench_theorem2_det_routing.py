@@ -2,18 +2,17 @@
 
 The ``TH2`` builder sweeps the relation degree ``h`` through the Section
 4.2 protocol over the ``th2-grid`` campaign spec (the ``theorem2``
-target; one record per point) and this bench compares the measured
-slowdown against the paper's ``S(L, G, p, h)``: ``O(log p)`` for small
-``h``, approaching ``O(1)`` as ``h`` grows (the ``h = Omega(p^eps + L
-log p)`` regime), with the sorting phase dominating exactly where the
-paper says it does.
+target; one record per point), and a fixed small ``h`` across ``p``;
+this bench compares the measured slowdown against the paper's
+``S(L, G, p, h)``: ``O(log p)`` for small ``h``, approaching ``O(1)`` as
+``h`` grows (the ``h = Omega(p^eps + L log p)`` regime), with the
+sorting phase dominating exactly where the paper says it does.
 """
 
 import pytest
 
 from repro.campaign import run_point
 from repro.campaign.builtin import TH2_GRID as SPEC
-from repro.util.tables import render_table
 
 EXPERIMENT = "TH2"
 
@@ -25,14 +24,13 @@ def sweep(paper_tables):
     return {rec["h"]: rec for rec in records}
 
 
-def test_theorem2_report(paper_tables, publish, publish_json, benchmark):
+def test_theorem2_report(paper_tables, publish_json, benchmark):
     benchmark.pedantic(
         lambda: run_point("theorem2", {**dict(SPEC.base), "h": 8, "seed": 99}),
         rounds=1,
         iterations=1,
     )
     table = paper_tables["theorem2_det_routing"]
-    publish(table.name, table.render())
     publish_json(table.name, {"campaign": SPEC.as_dict(), "records": table.records})
 
 
@@ -56,27 +54,14 @@ def test_sort_dominates_small_h_cycles_dominate_large_h(sweep):
     assert sweep[64]["t_cycles"] >= 0.5 * (dict(SPEC.base)["G"] * 64)
 
 
-def test_small_h_slowdown_grows_polylog_in_p(publish):
+def test_small_h_slowdown_grows_polylog_in_p(paper_tables):
     """The S = O(log p) regime (O(log^2 p) with our Batcher substitute):
     the per-unit cost of routing a fixed small h grows polylogarithmically
     as p quadruples — nowhere near linearly."""
-    h = 4
-    rows = []
-    ratios = {}
-    for p in (4, 16, 64):
-        rec = run_point("theorem2", {"p": p, "L": 8, "o": 1, "G": 2, "h": h, "seed": 1})
-        ratios[p] = rec["observed_slowdown"]
-        rows.append(
-            (p, rec["total_time"], f"{ratios[p]:.1f}", f"{rec['predicted_slowdown']:.1f}")
-        )
-    publish(
-        "theorem2_p_growth",
-        render_table(
-            ["p", "T total", "T/(Gh+L)", "paper S"],
-            rows,
-            title=f"Theorem 2 small-h regime: slowdown growth across p (h={h})",
-        ),
-    )
+    ratios = {
+        rec["p"]: rec["observed_slowdown"]
+        for rec in paper_tables["theorem2_p_growth"].records
+    }
     # quadrupling p: polylog growth (< 3x per step), far below linear (4x)
     assert ratios[16] / ratios[4] < 3.0
     assert ratios[64] / ratios[16] < 3.0

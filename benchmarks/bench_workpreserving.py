@@ -27,7 +27,7 @@ def sweep(paper_tables):
     return out
 
 
-def test_workpreserving_report(paper_tables, publish, benchmark):
+def test_workpreserving_report(paper_tables, benchmark):
     benchmark.pedantic(
         lambda: Stack(logp_sum_program(), model="logp", params=LogPParams(p=16, L=8, o=1, G=2))
         .on_bsp(p=4)
@@ -35,8 +35,6 @@ def test_workpreserving_report(paper_tables, publish, benchmark):
         rounds=1,
         iterations=1,
     )
-    table = paper_tables["workpreserving"]
-    publish(table.name, table.render())
 
 
 def test_work_monotone(sweep):

@@ -38,7 +38,7 @@ import multiprocessing as mp
 import queue as queue_mod
 import time
 
-__all__ = ["run_pool", "run_serial", "execute_point"]
+__all__ = ["run_pool", "execute_point"]
 
 #: Upper bound on points per chunk; small chunks keep stealing granular.
 MAX_CHUNK = 8
@@ -145,15 +145,6 @@ def execute_point(target_fn, item: dict, timeout_s: float | None) -> dict:
         "error": error,
         "wall_s": round(time.perf_counter() - t0, 6),
     }
-
-
-def run_serial(target_fn, items, timeout_s, on_result) -> None:
-    """In-process fallback (``parallel <= 1`` and the pool's last
-    resort): same entry shape, same callback protocol."""
-    for item in items:
-        entry = execute_point(target_fn, item, timeout_s)
-        entry["worker"] = 0
-        on_result(entry)
 
 
 class _Outbox:

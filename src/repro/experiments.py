@@ -3,10 +3,11 @@
 ``python -m repro.experiments list`` shows the experiment ids (matching
 DESIGN.md's index) and the built-in campaign names; ``python -m
 repro.experiments run <id> [...]`` or ``run all`` prints the id's
-tables.  Each id in :data:`EXPERIMENTS` is one builder that sweeps the
-table's grid and returns its records and rendered tables; the pytest
-bench for the id (``benchmarks/bench_*.py``) publishes the same tables
-to ``benchmarks/results/`` and asserts on the same records.
+tables.  Each id in :data:`EXPERIMENTS` is one builder that sweeps its
+tables' grids and returns their records and rendered text; every file
+in ``benchmarks/results/*.txt`` is one such table, written by the
+pytest benches (``benchmarks/bench_*.py``), which assert on the same
+records.
 ``python -m repro.experiments inspect <chain>`` runs one
 :class:`~repro.engine.request.RunRequest` — named by the same flags as
 ``request`` — through its :class:`~repro.engine.stack.Stack` chain
@@ -14,8 +15,9 @@ to ``benchmarks/results/`` and asserts on the same records.
 result row, cost-model residuals, and — with the shared observability
 flags — metrics and traces.  ``python -m repro.experiments campaign
 <name>`` runs a resumable, cache-backed parameter sweep over a
-multiprocessing pool (``--parallel``, ``--resume``, ``--force``,
-``--gate``; see :mod:`repro.campaign` and ``docs/CAMPAIGN.md``).
+multiprocessing pool that resumes from its store (``--parallel``,
+``--force``, ``--gate``; see :mod:`repro.campaign` and
+``docs/CAMPAIGN.md``).
 
 Shared flags (``run`` and ``inspect``):
 
@@ -52,14 +54,14 @@ __all__ = ["main", "EXPERIMENTS", "ExperimentTable"]
 
 @dataclass
 class ExperimentTable:
-    """One published paper table: the pretty table plus its records.
+    """One committed table: the pretty table plus its records.
 
     ``name`` is the table's results file (``benchmarks/results/<name>.txt``
     holds :meth:`render` verbatim); ``rows`` are the display tuples and
     ``records`` one dict per row, carrying every quantity the table's
-    bench asserts on — for TH1, P1 and TH2 the campaign target's record,
-    ``cost_check`` included.  ``extras`` holds pre-rendered blocks (a
-    cost-check report) printed after the table.
+    bench or tests assert on — for TH1, P1 and TH2 the campaign target's
+    record, ``cost_check`` included.  ``extras`` holds pre-rendered
+    blocks (a cost-check report) printed after the table.
     """
 
     name: str
@@ -84,16 +86,20 @@ def _table1(obs=None) -> list[ExperimentTable]:
     from dataclasses import asdict
 
     from repro.models.cost import TABLE1
+    from repro.networks.array_nd import ArrayND
     from repro.networks.params import TOPOLOGY_BUILDERS, measure_network_params
+    from repro.networks.routing_sim import RoutingConfig
+
+    def fit(topo, config, name):
+        return measure_network_params(
+            topo, table_name=name, hs=(1, 2, 4, 8), seeds=(0, 1),
+            config=config, obs=obs,
+        )
 
     rows, records = [], []
     for name, builder in TOPOLOGY_BUILDERS.items():
         for p in (16, 64):
-            topo, config = builder(p)
-            meas = measure_network_params(
-                topo, table_name=name, hs=(1, 2, 4, 8), seeds=(0, 1),
-                config=config, obs=obs,
-            )
+            meas = fit(*builder(p), name)
             th_g, th_d = meas.theory()
             costs = TABLE1[name]
             rows.append((
@@ -103,13 +109,30 @@ def _table1(obs=None) -> list[ExperimentTable]:
                 f"{meas.r2:.3f}",
             ))
             records.append(asdict(meas))
-    return [ExperimentTable(
-        "table1_network_params",
-        "Table 1 reproduction: fitted T(h) = gamma h + delta per topology",
-        ["topology", "p", "gamma fit", "gamma Table 1", "delta fit",
-         "delta Table 1", "R^2"],
-        rows, records,
-    )]
+    # Table 1's array row at d = 3: gamma = delta = Theta(p^(1/3)).
+    d3 = [
+        {"side": side, **asdict(fit(
+            ArrayND((side,) * 3), RoutingConfig(priority="farthest"), "d-dim array"
+        ))}
+        for side in (4, 8)
+    ]
+    return [
+        ExperimentTable(
+            "table1_network_params",
+            "Table 1 reproduction: fitted T(h) = gamma h + delta per topology",
+            ["topology", "p", "gamma fit", "gamma Table 1", "delta fit",
+             "delta Table 1", "R^2"],
+            rows, records,
+        ),
+        ExperimentTable(
+            "table1_d3_array",
+            "Table 1, d=3 array: gamma tracks p^(1/3) (x2 per x8 in p)",
+            ["p", "gamma fit", "p^(1/3)", "delta fit"],
+            [(rec["side"] ** 3, f"{rec['gamma']:.2f}", f"{float(rec['side']):.1f}",
+              f"{rec['delta']:.2f}") for rec in d3],
+            d3,
+        ),
+    ]
 
 
 def _theorem1(obs=None) -> list[ExperimentTable]:
@@ -181,14 +204,30 @@ def _theorem2(obs=None) -> list[ExperimentTable]:
         for rec in records
     ]
     base = dict(TH2_GRID.base)
-    return [ExperimentTable(
-        "theorem2_det_routing",
-        f"Theorem 2: deterministic h-relation routing on LogP (p={base['p']}, "
-        f"L={base['L']}, o={base['o']}, G={base['G']}); stall-free",
-        ["h", "scheme", "T total", "T sort", "T cycles", "2o+G(h-1)+L",
-         "T/(Gh+L)", "paper S"],
-        rows, records,
-    )]
+    # The S = O(log p) regime: a fixed small h as p quadruples.
+    h = 4
+    growth = [
+        run_point("theorem2", {"p": p, "L": 8, "o": 1, "G": 2, "h": h, "seed": 1})
+        for p in (4, 16, 64)
+    ]
+    return [
+        ExperimentTable(
+            "theorem2_det_routing",
+            f"Theorem 2: deterministic h-relation routing on LogP (p={base['p']}, "
+            f"L={base['L']}, o={base['o']}, G={base['G']}); stall-free",
+            ["h", "scheme", "T total", "T sort", "T cycles", "2o+G(h-1)+L",
+             "T/(Gh+L)", "paper S"],
+            rows, records,
+        ),
+        ExperimentTable(
+            "theorem2_p_growth",
+            f"Theorem 2 small-h regime: slowdown growth across p (h={h})",
+            ["p", "T total", "T/(Gh+L)", "paper S"],
+            [(rec["p"], rec["total_time"], f"{rec['observed_slowdown']:.1f}",
+              f"{rec['predicted_slowdown']:.1f}") for rec in growth],
+            growth,
+        ),
+    ]
 
 
 def _theorem3(obs=None) -> list[ExperimentTable]:
@@ -236,8 +275,19 @@ def _theorem3(obs=None) -> list[ExperimentTable]:
 
 
 def _stalling(obs=None) -> list[ExperimentTable]:
-    from repro.core.stalling import measure_hotspot, measure_stall_storm
-    from repro.models.params import LogPParams
+    """The stalling rule on LogP (hot spot, convoy), stalling LogP
+    simulated on BSP (end of Section 3), and Section 2.2's G > L buffer
+    anomaly."""
+    from repro.core.logp_on_bsp import simulate_logp_on_bsp
+    from repro.core.stalling import (
+        measure_hotspot,
+        measure_stall_storm,
+        simulate_stalling_cycle_on_bsp,
+    )
+    from repro.logp import DeliverEager, LogPMachine, Recv, Send, WaitUntil
+    from repro.logp.collectives import recv_n_tagged
+    from repro.models.params import BSPParams, LogPParams
+    from repro.routing.workloads import random_destinations
 
     params = LogPParams(p=32, L=8, o=1, G=2)  # capacity 4
     hot = [
@@ -251,6 +301,56 @@ def _stalling(obs=None) -> list[ExperimentTable]:
         for r in (measure_stall_storm(params, h) for h in (2, 4, 8, 16))
     ]
     machine = _logp_dict(params)
+
+    cycles = []
+    for p in (4, 8, 16):
+        lp = LogPParams(p=p, L=8, o=1, G=2)
+        res = simulate_stalling_cycle_on_bsp(
+            BSPParams(p=p, g=2, l=8), lp, random_destinations(p, 6, seed=p)
+        )
+        cycles.append({"p": p, "supersteps": res.num_supersteps,
+                       "cost": res.total_cost, "slowdown": res.total_cost / (lp.L // 2)})
+
+    # A hot spot with fan-in k > capacity is a stalling program: the naive
+    # Theorem-1 windows still run it, past capacity; the sorted
+    # decomposition splits each cycle into capacity-bounded sub-supersteps.
+    logp, k = LogPParams(p=16, L=8, o=1, G=2), 12
+
+    def hot_prog(ctx):
+        if ctx.pid == 0:
+            msgs = yield from recv_n_tagged(ctx, 5, k)
+            return len(msgs)
+        if ctx.pid <= k:
+            yield Send(0, ctx.pid, tag=5)
+        return None
+
+    naive = simulate_logp_on_bsp(logp, hot_prog, compare_native=False)
+    split = simulate_stalling_cycle_on_bsp(
+        BSPParams(p=16, g=logp.G, l=logp.L), logp, [(s, 0) for s in range(1, k + 1)]
+    )
+    program = {
+        "k": k, "params": _logp_dict(logp), "capacity": logp.capacity,
+        "naive_delivered": naive.bsp.results[0], "naive_window_h": naive.max_window_h,
+        "naive_cost": naive.bsp.total_cost, "sorted_cost": split.total_cost,
+        "sorted_supersteps": split.num_supersteps,
+        "sorted_tail_h_recv": max(rec.h_recv for rec in split.ledger[-3:]),
+    }
+
+    buffers = []
+    for shots in (8, 16, 32):
+        def prog(ctx):
+            if ctx.pid in (0, 1):
+                for i in range(shots):
+                    yield WaitUntil(8 * i + 3 * ctx.pid)
+                    yield Send(2, i)
+            else:
+                for _ in range(2 * shots):
+                    yield Recv()
+
+        res = LogPMachine(
+            LogPParams(p=3, L=3, o=1, G=8, unchecked=True), delivery=DeliverEager()
+        ).run(prog)
+        buffers.append({"messages": 2 * shots, "highwater": res.buffer_highwater[2]})
     return [
         ExperimentTable(
             "stalling_hotspot",
@@ -266,6 +366,34 @@ def _stalling(obs=None) -> list[ExperimentTable]:
             ["h", "makespan", "optimal", "O(Gh^2) bound", "stall episodes"],
             [tuple(rec.values()) for rec in storm],
             [{**rec, "params": machine} for rec in storm],
+        ),
+        ExperimentTable(
+            "stalling_cycle_on_bsp",
+            "Simulating a *stalling* LogP cycle on BSP via sorting "
+            "(end of Section 3; growth ~ polylog p, not poly p)",
+            ["p", "BSP supersteps", "BSP cost", "slowdown vs L/2 cycle"],
+            [(rec["p"], rec["supersteps"], rec["cost"], f"{rec['slowdown']:.1f}")
+             for rec in cycles],
+            cycles,
+        ),
+        ExperimentTable(
+            "stalling_program_on_bsp",
+            f"Simulating a stalling LogP program on BSP "
+            f"(hot spot k={k}, p={logp.p}, L={logp.L}, G={logp.G})",
+            ["approach", "window h vs ceil(L/G)", "BSP cost", "note"],
+            [("naive Theorem-1 windows", f"{naive.max_window_h} > {logp.capacity}",
+              naive.bsp.total_cost, "one big superstep per cycle"),
+             ("sorted decomposition", f"<= {logp.capacity} per sub-superstep",
+              split.total_cost,
+              f"{split.num_supersteps} supersteps (sort + ceil(h/C) cycles)")],
+            [program],
+        ),
+        ExperimentTable(
+            "buffer_growth",
+            "G > L anomaly: unbounded input buffers (G=8, L=3)",
+            ["messages", "receiver buffer high-water"],
+            [tuple(rec.values()) for rec in buffers],
+            buffers,
         ),
     ]
 
@@ -321,10 +449,523 @@ def _workpreserving(obs=None) -> list[ExperimentTable]:
     )]
 
 
-#: id -> (description, builder).  A builder sweeps its table's grid and
-#: returns one :class:`ExperimentTable` per published table; the bench
-#: ``benchmarks/bench_*.py`` for the id publishes and asserts on the
-#: same tables.  Builders accept an optional ``obs=Observation(...)``;
+def _bit_reversal_permutation(p: int) -> list[tuple[int, int]]:
+    """The classic bad case for deterministic oblivious routing on the
+    hypercube: ``u -> reverse(u)``, fixed points dropped."""
+    k = p.bit_length() - 1
+    return [(u, v) for u in range(p) if (v := int(format(u, f"0{k}b")[::-1], 2)) != u]
+
+
+def _ablations(obs=None) -> list[ExperimentTable]:
+    """Direct vs Valiant routing; the three BSP h-cost conventions; and
+    LogP's two nondeterminism knobs (delivery and acceptance order)."""
+    from repro.bsp.machine import BSPMachine
+    from repro.core.det_routing import measure_det_routing
+    from repro.core.rand_routing import measure_rand_routing
+    from repro.logp import (
+        AcceptFIFO,
+        AcceptLIFO,
+        AcceptRandom,
+        DeliverEager,
+        DeliverMaxLatency,
+        DeliverRandom,
+        LogPMachine,
+    )
+    from repro.models.params import BSPParams, LogPParams
+    from repro.networks import Hypercube
+    from repro.networks.routing_sim import RoutingConfig, build_paths, route_packets
+    from repro.programs import (
+        bsp_prefix_program,
+        bsp_radix_sort_program,
+        bsp_sample_sort_program,
+        logp_alltoall_program,
+        logp_sum_program,
+    )
+    from repro.routing.workloads import balanced_h_relation, hotspot_relation
+
+    # Routing: e-cube congestion bites on bit reversal at p = 1024.
+    big, bit_reversal = Hypercube(1024), _bit_reversal_permutation(1024)
+    small, random_rel = Hypercube(64), balanced_h_relation(64, 4, seed=1)
+    cases = [(big, bit_reversal, "bit-reversal, p=1024", valiant, sp, "fifo")
+             for valiant in (False, True) for sp in (False, True)]
+    cases += [(small, random_rel, f"random 4-rel, p=64 ({priority})", valiant, False,
+               priority) for valiant in (False, True) for priority in ("fifo", "farthest")]
+    routing = []
+    for topo, pairs, workload, valiant, sp, priority in cases:
+        cfg = RoutingConfig(valiant=valiant, single_port=sp, priority=priority)
+        paths = build_paths(topo, pairs, valiant=valiant, seed=0)
+        routing.append({
+            "workload": workload, "strategy": "valiant" if valiant else "direct",
+            "ports": "single" if sp else "multi",
+            "time": route_packets(topo, paths, cfg).time,
+        })
+
+    bsp = BSPParams(p=8, g=2, l=16)
+    programs = {
+        "prefix": bsp_prefix_program,
+        "radix sort": lambda: bsp_radix_sort_program(keys_per_proc=8, key_bits=8, seed=2),
+        "sample sort": lambda: bsp_sample_sort_program(keys_per_proc=16, seed=2),
+    }
+    conventions = []
+    for pname, factory in programs.items():
+        runs = {conv: BSPMachine(bsp, h_convention=conv).run(factory())
+                for conv in ("max", "sum", "send-only")}
+        conventions.append({
+            "program": pname, **{conv: r.total_cost for conv, r in runs.items()},
+            "results_invariant": all(r.results == runs["max"].results
+                                     for r in runs.values()),
+        })
+
+    logp = LogPParams(p=16, L=8, o=1, G=2)
+    deliveries = {
+        "max-latency": DeliverMaxLatency,
+        "eager": DeliverEager,
+        "random": lambda: DeliverRandom(seed=5),
+    }
+    schedulers = []
+    for dname, dfac in deliveries.items():
+        sum_res = LogPMachine(logp, delivery=dfac()).run(logp_sum_program())
+        a2a_res = LogPMachine(logp, delivery=dfac()).run(logp_alltoall_program())
+        det = measure_det_routing(
+            logp, balanced_h_relation(16, 8, seed=3), machine_kwargs={"delivery": dfac()}
+        )
+        schedulers.append({
+            "delivery": dname, "sum_makespan": sum_res.makespan,
+            "alltoall_makespan": a2a_res.makespan, "det_time": det.total_time,
+            "sum_correct": sum_res.results == [sum(range(16))] * 16,
+        })
+
+    acceptances = {
+        "fifo": AcceptFIFO,
+        "lifo": AcceptLIFO,
+        "random": lambda: AcceptRandom(seed=6),
+    }
+    acceptance = []
+    for aname, afac in acceptances.items():
+        m = measure_rand_routing(logp, hotspot_relation(16, 15, dest=0), seed=2, R=1,
+                                 machine_kwargs={"acceptance": afac()})
+        acceptance.append({"acceptance": aname, "time": m.total_time,
+                           "stalls": len(m.result.stalls), "params": _logp_dict(logp)})
+    return [
+        ExperimentTable(
+            "ablation_routing",
+            "Ablation: direct vs Valiant routing on hypercubes",
+            ["workload", "strategy", "ports", "time"],
+            [tuple(rec.values()) for rec in routing],
+            routing,
+        ),
+        ExperimentTable(
+            "ablation_cost_conventions",
+            f"Ablation: BSP h-relation cost conventions (p={bsp.p}, g={bsp.g}, l={bsp.l})",
+            ["program", "g*max(in,out) (paper)", "g*(in+out)", "g*out"],
+            [(rec["program"], rec["max"], rec["sum"], rec["send-only"])
+             for rec in conventions],
+            conventions,
+        ),
+        ExperimentTable(
+            "ablation_schedulers",
+            f"Ablation: delivery-policy sensitivity (p={logp.p}, L={logp.L}, "
+            f"o={logp.o}, G={logp.G}); results are policy-invariant, only timing moves",
+            ["delivery policy", "sum makespan", "all-to-all makespan", "det-routing T"],
+            [(rec["delivery"], rec["sum_makespan"], rec["alltoall_makespan"],
+              rec["det_time"]) for rec in schedulers],
+            schedulers,
+        ),
+        ExperimentTable(
+            "ablation_acceptance",
+            "Ablation: acceptance order under stalling (15 -> 1 burst, R=1)",
+            ["acceptance policy", "hot-spot burst T", "stalls"],
+            [(rec["acceptance"], rec["time"], rec["stalls"]) for rec in acceptance],
+            acceptance,
+        ),
+    ]
+
+
+def _bsp_on_logp_modes(obs=None) -> list[ExperimentTable]:
+    """The paper's Section 6 radix sort on LogP under all three Section 4
+    routing modes, with per-phase timing."""
+    from repro.core.bsp_on_logp import simulate_bsp_on_logp
+    from repro.models.params import LogPParams
+    from repro.programs import bsp_radix_sort_program
+
+    params = LogPParams(p=16, L=16, o=1, G=2)
+    records = []
+    for mode in ("deterministic", "randomized", "offline"):
+        rep = simulate_bsp_on_logp(
+            params, bsp_radix_sort_program(keys_per_proc=8, key_bits=8, seed=17),
+            routing=mode, seed=29,
+        )
+        keys = [k for block in rep.results for k in block]
+        records.append({
+            "routing": mode, "bsp_cost": rep.bsp_cost, "logp_time": rep.total_logp_time,
+            "t_sync": sum(t.t_sync for t in rep.timings),
+            "t_route": sum(t.t_route for t in rep.timings),
+            "slowdown": rep.slowdown, "predicted_slowdown": rep.predicted_slowdown,
+            "stalls": len(rep.logp.stalls), "sorted": keys == sorted(keys),
+            "supersteps": len(rep.timings),
+            "sum_h": sum(rec.h for rec in rep.bsp_native.ledger),
+            "params": _logp_dict(params),
+        })
+    return [ExperimentTable(
+        "bsp_on_logp_modes",
+        f"BSP radix sort on LogP (p={params.p}, L={params.L}, o=1, G=2): "
+        f"all three Section 4 routing modes",
+        ["routing", "BSP cost", "LogP time", "sum T_sync", "sum T_rout", "S meas",
+         "S paper", "stalls"],
+        [(rec["routing"], rec["bsp_cost"], rec["logp_time"], rec["t_sync"],
+          rec["t_route"], f"{rec['slowdown']:.2f}", f"{rec['predicted_slowdown']:.2f}",
+          rec["stalls"]) for rec in records],
+        records,
+    )]
+
+
+def _bridging(obs=None) -> list[ExperimentTable]:
+    """Section 5 made executable: a BSP radix sort priced by real packet
+    routing on each Table 1 topology vs the abstract (g*, l*) machine."""
+    from repro.core.network_support import derive_model_support
+    from repro.models.params import BSPParams
+    from repro.networks.backed import run_on_network
+    from repro.networks.params import make_topology
+    from repro.programs import bsp_radix_sort_program
+
+    records = []
+    for name in ("d-dim array", "hypercube (multi-port)", "hypercube (single-port)",
+                 "butterfly", "ccc", "shuffle-exchange", "mesh-of-trees"):
+        topo, config = make_topology(name, 16)
+        support = derive_model_support(topo, table_name=name, config=config)
+        backed = run_on_network(
+            topo, bsp_radix_sort_program(keys_per_proc=4, key_bits=8, seed=11),
+            config=config,
+        )
+        predicted = backed.abstract_cost(
+            BSPParams(p=topo.p, g=support.g_star, l=support.l_star)
+        )
+        records.append({
+            "topology": name, "p": topo.p, "g_star": support.g_star,
+            "l_star": support.l_star, "measured": backed.network_cost,
+            "predicted": predicted, "ratio": backed.network_cost / predicted,
+            "keys": [k for block in backed.results for k in block],
+        })
+    return [ExperimentTable(
+        "bridging_fidelity",
+        "Bridging-model fidelity: BSP radix sort priced by real packet "
+        "routing vs the abstract (g*, l*) machine",
+        ["topology", "p", "g*", "l*", "measured cost", "w + g*h + l* cost", "ratio"],
+        [(rec["topology"], rec["p"], rec["g_star"], rec["l_star"], rec["measured"],
+          rec["predicted"], f"{rec['ratio']:.2f}") for rec in records],
+        records,
+    )]
+
+
+def _faults(obs=None) -> list[ExperimentTable]:
+    """Resilience cost as slowdown vs the fault-free run: LogP kernels
+    under ack/retransmit over a lossy medium, BSP kernels under
+    checkpoint-and-retry, and store-and-forward routing over lossy links.
+    Every record says whether the faulty run's results equal the clean
+    run's."""
+    from repro.bsp import BSPMachine
+    from repro.faults import FaultPlan, reliable
+    from repro.logp.machine import LogPMachine
+    from repro.models.params import BSPParams, LogPParams
+    from repro.networks.hypercube import Hypercube
+    from repro.networks.routing_sim import RoutingConfig, route_h_relation
+    from repro.programs import (
+        bsp_prefix_program,
+        bsp_sample_sort_program,
+        logp_alltoall_program,
+        logp_ring_program,
+        logp_sum_program,
+    )
+
+    logp, bsp = LogPParams(p=8, L=8, o=1, G=2), BSPParams(p=8, g=2, l=10)
+    rates, seed = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3), 1996
+
+    kernels = {"ring": logp_ring_program(), "sum": logp_sum_program(),
+               "alltoall": logp_alltoall_program()}
+    clean = {name: LogPMachine(logp).run(prog) for name, prog in kernels.items()}
+    logp_recs = []
+    for rate in rates:
+        for name, prog in kernels.items():
+            plan = FaultPlan(seed=seed, drop_rate=rate, dup_rate=rate / 2, delay_rate=rate,
+                             max_extra_delay=logp.L, reorder_rate=rate)
+            res = LogPMachine(logp, faults=plan, check_invariants=True).run(reliable(prog))
+            logp_recs.append({
+                "rate": rate, "kernel": name, "clean": clean[name].makespan,
+                "faulty": res.makespan, "slowdown": res.makespan / clean[name].makespan,
+                "messages": res.total_messages,
+                "results_match": res.results == clean[name].results,
+            })
+
+    kernels = {"prefix": bsp_prefix_program(),
+               "sample-sort": bsp_sample_sort_program(keys_per_proc=16, seed=9)}
+    clean = {name: BSPMachine(bsp).run(prog) for name, prog in kernels.items()}
+    bsp_recs = []
+    for rate in rates:
+        for name, prog in kernels.items():
+            res = BSPMachine(bsp, faults=FaultPlan(seed=seed, drop_rate=rate)).run(prog)
+            bsp_recs.append({
+                "rate": rate, "kernel": name, "clean": clean[name].total_cost,
+                "faulty": res.total_cost,
+                "slowdown": res.total_cost / clean[name].total_cost,
+                "retries": res.total_retries,
+                "results_match": res.results == clean[name].results,
+            })
+
+    topo, h = Hypercube(64), 4
+    clean_route = route_h_relation(topo, h, seed=2)
+    route_recs = []
+    for rate in rates:
+        out = route_h_relation(
+            topo, h, seed=2, config=RoutingConfig(link_fault_rate=rate, seed=seed)
+        )
+        route_recs.append({
+            "rate": rate, "clean": clean_route.time, "faulty": out.time,
+            "slowdown": out.time / clean_route.time,
+            "retransmissions": out.retransmissions,
+            "packets_match": out.packets == clean_route.packets,
+        })
+
+    return [
+        ExperimentTable(
+            "fault_resilience_logp",
+            f"Ack/retransmit LogP transport over a lossy medium "
+            f"(p={logp.p}, L={logp.L}, o=1, G=2; "
+            f"drop=delay=reorder=rate, dup=rate/2, seed={seed})",
+            ["fault rate", "kernel", "clean makespan", "faulty makespan",
+             "slowdown", "messages (incl. acks/retx)"],
+            [(rec["rate"], rec["kernel"], rec["clean"], rec["faulty"],
+              f"{rec['slowdown']:.2f}", rec["messages"]) for rec in logp_recs],
+            logp_recs,
+        ),
+        ExperimentTable(
+            "fault_resilience_bsp",
+            f"BSP checkpoint-and-retry over a lossy exchange "
+            f"(p={bsp.p}, g={bsp.g}, l={bsp.l}, seed={seed})",
+            ["drop rate", "kernel", "clean cost", "faulty cost", "slowdown",
+             "retry rounds"],
+            [(rec["rate"], rec["kernel"], rec["clean"], rec["faulty"],
+              f"{rec['slowdown']:.2f}", rec["retries"]) for rec in bsp_recs],
+            bsp_recs,
+        ),
+        ExperimentTable(
+            "fault_resilience_routing",
+            f"Lossy-link store-and-forward routing of a balanced "
+            f"{h}-relation on the {topo.p}-node hypercube",
+            ["link fault rate", "clean steps", "faulty steps", "slowdown",
+             "retransmissions"],
+            [(rec["rate"], rec["clean"], rec["faulty"], f"{rec['slowdown']:.2f}",
+              rec["retransmissions"]) for rec in route_recs],
+            route_recs,
+        ),
+    ]
+
+
+def _logp_cost_of_bitonic(p, r, params) -> int:
+    """Charged LogP cost of the bitonic schedule: per round, r paced
+    1-relations (2o + G(r-1) + L) + merge O(r); plus the initial local
+    sort."""
+    from repro.models.cost import t_seq_sort
+    from repro.sorting import bitonic_schedule
+
+    per_round = 2 * params.o + params.G * max(0, r - 1) + params.L + r
+    return t_seq_sort(r, p) + len(bitonic_schedule(p)) * per_round
+
+
+def _logp_cost_of_columnsort(s, r, params) -> int:
+    """Columnsort's 8 fixed steps: 4 local sorts + 4 r-relations routed
+    as r paced 1-relations."""
+    from repro.models.cost import t_seq_sort
+
+    per_perm = 2 * params.o + params.G * max(0, r - 1) + params.L
+    return 4 * t_seq_sort(r, s) + 4 * per_perm
+
+
+def _sorting(obs=None) -> list[ExperimentTable]:
+    """Section 4.2's sorting regimes three ways: the paper's analytic
+    AKS-vs-Cubesort crossover, the executable substitutes (bitonic,
+    Columnsort) on the LogP cost scale, and the word-accurate BSP
+    sorters' regimes (Gerbessiotis & Siniolakis, arXiv:1408.6729) with
+    the sample-sort/bitonic crossover next to its closed-form
+    prediction."""
+    import random
+
+    from repro.engine.request import DEFAULT_PARAMS
+    from repro.models.cost import t_sort_aks, t_sort_cubesort
+    from repro.models.params import LogPParams
+    from repro.sorting import bitonic_schedule, columnsort, run_schedule_locally
+    from repro.sorting.columnsort import columnsort_valid
+    from repro.workloads import get, run_workload
+    from repro.workloads.sorting import (
+        bitonic_cost_closed_form,
+        sample_unit_cost_closed_form,
+    )
+
+    params = LogPParams(p=256, L=16, o=1, G=2)
+    analytic = []
+    for r in (1, 4, 16, 64, 256, 1024, 4096, 65536):
+        aks = t_sort_aks(r, params.p, params)
+        cube = t_sort_cubesort(r, params.p, params, include_log_star_term=False)
+        analytic.append({"r": r, "aks": aks, "cubesort": cube,
+                         "winner": "AKS" if aks <= cube else "Cubesort"})
+
+    def flat(blocks):
+        return [x for block in blocks for x in block]
+
+    p, rng = 16, random.Random(3)
+    lp = LogPParams(p=p, L=16, o=1, G=2)
+    executable = []
+    for r in (1, 8, 64, 512, 4096):
+        blocks = [[rng.randrange(10**6) for _ in range(r)] for _ in range(p)]
+        want = sorted(flat(blocks))
+        rec = {"r": r, "bitonic": _logp_cost_of_bitonic(p, r, lp), "columnsort": None,
+               "bitonic_sorted":
+                   flat(run_schedule_locally(bitonic_schedule(p), blocks)) == want,
+               "columnsort_sorted": None}
+        if columnsort_valid(r, p):
+            rec["columnsort"] = _logp_cost_of_columnsort(p, r, lp)
+            rec["columnsort_sorted"] = flat(columnsort(blocks)) == want
+        rec["winner"] = ("bitonic" if rec["columnsort"] is None
+                         or rec["bitonic"] <= rec["columnsort"] else "columnsort")
+        executable.append(rec)
+
+    p, g, l = 8, DEFAULT_PARAMS["g"], DEFAULT_PARAMS["l"]
+    regimes = []
+    for r in (8, 16, 32, 64, 128, 256):
+        args, costs = {"keys_per_proc": r, "key_range": 1 << 16}, {}
+        for name in ("sample-sort-unit", "bitonic-sort", "columnsort"):
+            costs[name] = None
+            if get(name).supports(p, args):
+                run = run_workload(name, p=p, seed=0, params=args)
+                run.report.assert_ok()
+                costs[name] = int(run.result.total_cost)
+        regimes.append({
+            "p": p, "keys_per_proc": r, **costs,
+            "winner": min((c, n) for n, c in costs.items() if c is not None)[1],
+            "sample_closed_form": sample_unit_cost_closed_form(r, p, g, l),
+            "bitonic_closed_form": bitonic_cost_closed_form(r, p, g, l),
+        })
+    return [
+        ExperimentTable(
+            "sorting_analytic_crossover",
+            f"Paper cost model: sorting crossover at p={params.p}, L={params.L}, "
+            f"G={params.G}",
+            ["r", "T_AKS", "T_Cubesort (asymptotic)", "winner"],
+            [(rec["r"], f"{rec['aks']:.3g}", f"{rec['cubesort']:.3g}", rec["winner"])
+             for rec in analytic],
+            analytic,
+        ),
+        ExperimentTable(
+            "sorting_executable_schemes",
+            f"Executable substitutes at p={lp.p}: charged LogP cost of actually "
+            f"sorting r keys/processor (both verified correct)",
+            ["r", "bitonic LogP cost", "columnsort LogP cost", "winner"],
+            [(rec["r"], rec["bitonic"],
+              "invalid (r < 2(s-1)^2)" if rec["columnsort"] is None
+              else rec["columnsort"], rec["winner"]) for rec in executable],
+            executable,
+        ),
+        ExperimentTable(
+            "sorting_regimes",
+            f"BSP sorting regimes at p={p} (g={g}, l={l}): measured total cost "
+            f"per sorter vs r = n/p, sample sort vs bitonic in closed form",
+            ["r", "sample sort", "bitonic", "columnsort", "winner",
+             "sample closed form", "bitonic closed form"],
+            [(rec["keys_per_proc"], rec["sample-sort-unit"], rec["bitonic-sort"],
+              "invalid" if rec["columnsort"] is None else rec["columnsort"],
+              rec["winner"], rec["sample_closed_form"], rec["bitonic_closed_form"])
+             for rec in regimes],
+            regimes,
+        ),
+    ]
+
+
+def _streaming(obs=None) -> list[ExperimentTable]:
+    """The pseudo-streaming transformer's superstep bound (Buurlage et
+    al., arXiv:1608.07200) on both streamed workloads: per chunk, the
+    streamed superstep count against ``(base - 1)·ceil(h/chunk) + 1``
+    and the largest per-processor h_send against the chunk."""
+    from repro.workloads import run_workload, streamed_supersteps
+    from repro.workloads.streaming import sample_sort_h_bound
+
+    p, records = 4, []
+    for base, streamed, args, h_bound, chunks in (
+        ("sample-sort-unit", "stream-sample-sort", {"keys_per_proc": 16},
+         sample_sort_h_bound(p, 16), (4, 8)),
+        ("matvec", "stream-matvec", {"n": 16}, p - 1, (1, 2)),
+    ):
+        run = run_workload(base, p=p, seed=0, params=args)
+        run.report.assert_ok()
+        base_steps = run.result.num_supersteps
+        for chunk in chunks:
+            out = run_workload(streamed, p=p, seed=0, params={**args, "chunk": chunk})
+            out.report.assert_ok()
+            records.append({
+                "base": base, "streamed": streamed, "p": p, "chunk": chunk,
+                "h_bound": h_bound, "base_supersteps": base_steps,
+                "streamed_supersteps": out.result.num_supersteps,
+                "predicted_supersteps": streamed_supersteps(base_steps, 1, h_bound, chunk),
+                "max_h_send": max(rec.h_send for rec in out.result.ledger),
+            })
+    return [ExperimentTable(
+        "streaming_bound",
+        f"Pseudo-streaming supersteps (p={p}): every boundary split into "
+        f"ceil(h/chunk) rounds of <= chunk sends",
+        ["base", "streamed", "chunk", "h bound", "base supersteps",
+         "streamed supersteps", "(base-1)ceil(h/chunk)+1", "max h_send"],
+        [(rec["base"], rec["streamed"], rec["chunk"], rec["h_bound"],
+          rec["base_supersteps"], rec["streamed_supersteps"],
+          rec["predicted_supersteps"], rec["max_h_send"]) for rec in records],
+        records,
+    )]
+
+
+def _numeric(obs=None) -> list[ExperimentTable]:
+    """BSF-style scalability peaks (Sokolinsky, arXiv:1710.10490): both
+    iterative kernels' measured cost over a p grid against the closed
+    form, with the continuous minimizer p*."""
+    from repro.engine.request import DEFAULT_PARAMS
+    from repro.workloads import run_workload
+    from repro.workloads.numeric import (
+        gradient_cost_closed_form,
+        gradient_peak,
+        jacobi_cost_closed_form,
+        jacobi_peak,
+    )
+
+    n, iters, g, l = 48, 4, DEFAULT_PARAMS["g"], DEFAULT_PARAMS["l"]
+    records = []
+    for name, closed, peak in (
+        ("jacobi", jacobi_cost_closed_form, jacobi_peak(n, iters, g)),
+        ("gradient", gradient_cost_closed_form, gradient_peak(n, g)),
+    ):
+        for p in (2, 3, 4, 6, 8, 12, 16, 24):
+            run = run_workload(name, p=p, seed=0, params={"n": n, "iters": iters})
+            run.report.assert_ok()
+            records.append({
+                "kernel": name, "p": p, "measured": int(run.result.total_cost),
+                "predicted": closed(n, p, iters, g, l), "peak_continuous": round(peak, 3),
+            })
+    argmin = {
+        name: min((rec for rec in records if rec["kernel"] == name),
+                  key=lambda rec: rec["measured"])
+        for name in ("jacobi", "gradient")
+    }
+    return [ExperimentTable(
+        "numeric_scalability",
+        f"Scalability peaks (n={n}, iters={iters}, g={g}, l={l}): measured BSP "
+        f"cost vs closed form over p",
+        ["kernel", "p", "measured cost", "closed form", "continuous p*", "argmin"],
+        [(rec["kernel"], rec["p"], rec["measured"], rec["predicted"],
+          rec["peak_continuous"], "<-" if rec is argmin[rec["kernel"]] else "")
+         for rec in records],
+        records,
+    )]
+
+
+#: id -> (description, builder).  A builder sweeps its grids and returns
+#: one :class:`ExperimentTable` per committed table; ``run all`` prints
+#: every ``benchmarks/results/*.txt`` file and the benches assert on the
+#: same records.  Builders accept an optional ``obs=Observation(...)``;
 #: T1, TH1 and WP publish metrics/spans into it, the rest ignore it.
 EXPERIMENTS: dict[str, tuple[str, Callable[..., list[ExperimentTable]]]] = {
     "T1": ("Table 1: network bandwidth/latency parameters", _table1),
@@ -335,6 +976,13 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., list[ExperimentTable]]]] = {
     "ST": ("Sections 2.2/3: stalling analyses", _stalling),
     "OB1": ("Observation 1: direct implementations on networks", _observation1),
     "WP": ("Footnote 1: work-preserving simulation", _workpreserving),
+    "AB": ("Ablations: routing, cost conventions, LogP schedulers", _ablations),
+    "APP": ("Section 6: radix sort under the three routing modes", _bsp_on_logp_modes),
+    "BF": ("Section 5 extension: bridging-model fidelity", _bridging),
+    "FR": ("Resilience cost over a faulty substrate", _faults),
+    "SRT": ("Section 4.2: sorting regimes", _sorting),
+    "PS": ("Pseudo-streaming superstep bound", _streaming),
+    "NS": ("Iterative-numeric scalability peaks", _numeric),
 }
 
 
@@ -746,9 +1394,13 @@ def _serve(args) -> int:
 
 def _serve_smoke(cfg, args) -> int:
     """Self-contained end-to-end smoke: real server, real socket client,
-    mixed hit/miss/dedup traffic, counters asserted to reconcile.  Backs
-    ``make serve-smoke`` and the service-smoke CI job."""
+    mixed hit/miss/dedup traffic, counters asserted to reconcile.  It
+    runs against a fresh temporary store, deleted afterwards, so every
+    run starts with nothing cached.  Backs ``make serve-smoke`` and the
+    service-smoke CI job."""
     import asyncio
+    import dataclasses
+    import tempfile
 
     from repro.service import ServiceClient, SimulationService
     from repro.service import serve as serve_tcp
@@ -756,7 +1408,7 @@ def _serve_smoke(cfg, args) -> int:
     docs = [{"chain": "bsp", "p": 4, "seed": s} for s in range(3)]
     copies = 4
 
-    async def _main() -> tuple[dict, list]:
+    async def _main(cfg) -> tuple[dict, list]:
         async with SimulationService(cfg) as svc:
             server = await serve_tcp(svc, args.host, 0)
             port = server.sockets[0].getsockname()[1]
@@ -775,7 +1427,8 @@ def _serve_smoke(cfg, args) -> int:
             await server.wait_closed()
             return stats, wave1, wave2
 
-    stats, wave1, wave2 = asyncio.run(_main())
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as store:
+        stats, wave1, wave2 = asyncio.run(_main(dataclasses.replace(cfg, store_dir=store)))
     responses = wave1 + wave2
     n = len(docs)
     checks = [
@@ -940,63 +1593,11 @@ def _workloads_run(args) -> int:
     return 0 if all_ok else 1
 
 
-def _workloads_sweep(args) -> int:
-    from repro.workloads import (
-        scalability_study,
-        sorting_regime_study,
-        streaming_bound_study,
-    )
-
-    studies = {
-        "sorting-regimes": lambda: sorting_regime_study(
-            seed=args.seed, quick=args.quick
-        ),
-        "streaming-bound": lambda: streaming_bound_study(
-            seed=args.seed, quick=args.quick
-        ),
-        "numeric-scalability": lambda: scalability_study(
-            seed=args.seed, quick=args.quick
-        ),
-    }
-    doc = studies[args.study]()
-    if args.study == "sorting-regimes":
-        cx = doc["crossover"]
-        for row in doc["rows"]:
-            print(f"keys/proc={row['keys_per_proc']:<5d} winner={row['winner']}")
-        print(
-            f"crossover: measured keys/proc={cx['measured_keys_per_proc']} "
-            f"predicted={cx['predicted_keys_per_proc']}"
-        )
-    elif args.study == "streaming-bound":
-        for row in doc["rows"]:
-            print(
-                f"{row['streamed']:20s} chunk={row['chunk']:<3d} "
-                f"supersteps={row['streamed_supersteps']} "
-                f"(predicted {row['predicted_supersteps']}) "
-                f"max-h={row['max_h_send']} "
-                f"bound={'holds' if row['bound_holds'] else 'VIOLATED'}"
-            )
-    else:
-        for name, k in doc["kernels"].items():
-            print(
-                f"{name:10s} peak p: measured={k['peak_measured_p']} "
-                f"predicted={k['peak_predicted_p']} "
-                f"continuous={k['peak_continuous']} "
-                f"{'agree' if k['peaks_agree'] else 'DISAGREE'}"
-            )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, default=str)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _workloads(args) -> int:
     return {
         "list": _workloads_list,
         "describe": _workloads_describe,
         "run": _workloads_run,
-        "sweep": _workloads_sweep,
     }[args.wcommand](args)
 
 
@@ -1075,12 +1676,6 @@ def main(argv: list[str] | None = None) -> int:
     camp.add_argument("--seeds", metavar="S1,S2,...", help="per-point seeds")
     camp.add_argument(
         "--parallel", type=int, default=1, metavar="N", help="worker processes"
-    )
-    camp.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the store's cached points (the default; spelled "
-        "out for scripts that want to be explicit)",
     )
     camp.add_argument(
         "--force",
@@ -1199,7 +1794,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument(
         "--smoke", action="store_true",
         help="self-contained end-to-end smoke: ephemeral port, mixed "
-        "hit/miss/dedup traffic over a real socket, counters asserted",
+        "hit/miss/dedup traffic over a real socket, counters asserted; "
+        "runs on a fresh temporary store (deleted afterwards), not --store",
     )
     _add_obs_flags(serve_p)
     req_p = sub.add_parser(
@@ -1241,7 +1837,7 @@ def main(argv: list[str] | None = None) -> int:
     wl_p = sub.add_parser(
         "workloads",
         help="the workload library: list/describe/run registered "
-        "workloads and drive the family studies (see docs/WORKLOADS.md)",
+        "workloads (see docs/WORKLOADS.md)",
     )
     wsub = wl_p.add_subparsers(dest="wcommand", required=True)
     wl_list = wsub.add_parser(
@@ -1289,18 +1885,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     wl_run.add_argument(
         "--out", metavar="OUT.json", help="write a JSON artifact of all runs"
-    )
-    wl_sweep = wsub.add_parser(
-        "sweep", help="drive one of the three family studies"
-    )
-    wl_sweep.add_argument(
-        "study",
-        choices=["sorting-regimes", "streaming-bound", "numeric-scalability"],
-    )
-    wl_sweep.add_argument("--quick", action="store_true", help="trimmed grid")
-    wl_sweep.add_argument("--seed", type=int, default=0, help="study seed")
-    wl_sweep.add_argument(
-        "--out", metavar="OUT.json", help="write the study document as JSON"
     )
     args = parser.parse_args(argv)
     handler = {

@@ -19,8 +19,8 @@ The regime story the three cover:
 * **Columnsort** — 4 fixed ``~r``-relations, valid only once
   ``r >= 2 (p-1)^2``; asymptotically between the two.
 
-:func:`repro.workloads.sorting.sorting_regime_study` sweeps these over
-``n/p`` and reports the sample-sort/bitonic cost crossover.
+``python -m repro.experiments run SRT`` sweeps these over ``n/p`` and
+reports the sample-sort/bitonic cost crossover.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def bsp_sample_sort_unit_program(
     same drawn keys as :func:`~repro.programs.bsp_examples.
     bsp_sample_sort_program`, but samples, splitters, and exchanged keys
     travel one word per message so the ledger's ``h`` counts words — the
-    ``p^2``-word sample gather the regime study charges for.
+    ``p^2``-word sample gather the SRT regimes table charges for.
     """
     r = keys_per_proc
 

@@ -19,12 +19,10 @@ Entry points::
 Builtin families register at import: the ten ported core programs
 (``logp-core`` / ``bsp-core``), the sorting-regime trio (``sorting``),
 the pseudo-streaming transformer pair (``streaming``), and the
-iterative-numeric pair (``numeric``).  The studies —
-:func:`~repro.workloads.sorting.sorting_regime_study`,
-:func:`~repro.workloads.streaming.streaming_bound_study`,
-:func:`~repro.workloads.numeric.scalability_study` — drive whole
-families and report the paper-level findings (regime crossover,
-fast-memory superstep bound, scalability peaks).
+iterative-numeric pair (``numeric``).  ``python -m repro.experiments
+run SRT|PS|NS`` drives whole families and prints the paper-level
+findings (regime crossover, fast-memory superstep bound, scalability
+peaks) as committed tables.
 """
 
 from repro.workloads.registry import (
@@ -38,13 +36,12 @@ from repro.workloads.registry import (
     run_workload,
 )
 from repro.workloads.library import register_builtin_library
-from repro.workloads.numeric import register_builtin_numeric, scalability_study
-from repro.workloads.sorting import register_builtin_sorting, sorting_regime_study
+from repro.workloads.numeric import register_builtin_numeric
+from repro.workloads.sorting import register_builtin_sorting
 from repro.workloads.streaming import (
     pseudo_stream,
     register_builtin_streaming,
     streamed_supersteps,
-    streaming_bound_study,
 )
 
 __all__ = [
@@ -58,9 +55,6 @@ __all__ = [
     "run_workload",
     "pseudo_stream",
     "streamed_supersteps",
-    "sorting_regime_study",
-    "streaming_bound_study",
-    "scalability_study",
 ]
 
 register_builtin_library()

@@ -8,9 +8,9 @@ falls with ``p`` until the communication term ``c(p)`` (growing like
 
 The two kernels in :mod:`repro.programs.bsp_iterative` have fully
 closed-form cost ledgers, so this module checks the *entire* measured
-cost — not a bound — against the analytic curve, and
-:func:`scalability_study` compares the measured argmin over a ``p``
-grid with the analytic peak.
+cost — not a bound — against the analytic curve, and ``python -m
+repro.experiments run NS`` (the ``numeric_scalability`` table) compares
+the measured argmin over a ``p`` grid with the analytic peak.
 
 Closed forms (``rows = n/p``, ``h2 = 2`` for ``p >= 3`` else 1)::
 
@@ -35,7 +35,6 @@ __all__ = [
     "gradient_cost_closed_form",
     "jacobi_peak",
     "gradient_peak",
-    "scalability_study",
 ]
 
 
@@ -174,53 +173,3 @@ def register_builtin_numeric() -> None:
     ]
     for w in entries:
         register(w, replace=True)
-
-
-def scalability_study(
-    n: int = 48,
-    iters: int = 4,
-    ps: tuple = (2, 3, 4, 6, 8, 12, 16, 24),
-    seed: int = 0,
-    quick: bool = False,
-) -> dict:
-    """Measure both kernels' cost curves over ``ps`` and locate the
-    scalability peak: the measured argmin must sit at the analytic
-    argmin (over the same grid), and every measured cost must equal the
-    closed form exactly.
-    """
-    from repro.engine.request import DEFAULT_PARAMS
-    from repro.workloads.registry import run_workload
-
-    if quick:
-        ps = tuple(ps)[:3]
-    g, l = DEFAULT_PARAMS["g"], DEFAULT_PARAMS["l"]
-    out: dict = {"study": "numeric-scalability", "n": n, "iters": iters,
-                 "g": g, "l": l, "seed": seed, "kernels": {}}
-    for name, closed, peak in (
-        ("jacobi", jacobi_cost_closed_form,
-         lambda: jacobi_peak(n, iters, g)),
-        ("gradient", gradient_cost_closed_form,
-         lambda: gradient_peak(n, g)),
-    ):
-        rows = []
-        for p in ps:
-            if n % p != 0:
-                continue
-            run = run_workload(name, p=p, seed=seed,
-                               params={"n": n, "iters": iters})
-            run.report.assert_ok()
-            measured = int(run.result.total_cost)
-            predicted = closed(n, p, iters, g, l)
-            assert measured == predicted, (name, p, measured, predicted)
-            rows.append({"p": int(p), "measured": measured,
-                         "predicted": predicted})
-        best_measured = min(rows, key=lambda r: r["measured"])["p"]
-        best_predicted = min(rows, key=lambda r: r["predicted"])["p"]
-        out["kernels"][name] = {
-            "rows": rows,
-            "peak_measured_p": best_measured,
-            "peak_predicted_p": best_predicted,
-            "peak_continuous": round(peak(), 3),
-            "peaks_agree": best_measured == best_predicted,
-        }
-    return out

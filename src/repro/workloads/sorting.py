@@ -15,10 +15,10 @@ BSP cost ledger directly:
 * **columnsort** — 4 fixed ``~r``-relations, valid only for
   ``r >= 2(p-1)²`` — asymptotically between the two.
 
-:func:`sorting_regime_study` sweeps ``r`` at fixed ``p`` and reports
-the measured **crossover point** — the smallest ``r`` where sample sort
-is no more expensive than bitonic — next to the analytic prediction
-from the closed-form costs.
+``python -m repro.experiments run SRT`` sweeps ``r`` at fixed ``p``
+(the ``sorting_regimes`` table): the measured **crossover point** — the
+smallest ``r`` where sample sort is no more expensive than bitonic —
+sits next to the analytic prediction from the closed-form costs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.workloads.registry import Workload, clog2, register
 
 __all__ = [
     "register_builtin_sorting",
-    "sorting_regime_study",
     "bitonic_cost_closed_form",
     "sample_unit_cost_closed_form",
 ]
@@ -193,69 +192,3 @@ def register_builtin_sorting() -> None:
     ]
     for w in entries:
         register(w, replace=True)
-
-
-def sorting_regime_study(
-    p: int = 8,
-    keys: tuple = (8, 16, 32, 64, 128, 256),
-    seed: int = 0,
-    quick: bool = False,
-) -> dict:
-    """Sweep ``r = keys_per_proc`` at fixed ``p`` over the three sorters
-    and report the sample-sort/bitonic cost **crossover**.
-
-    Returns a dict with one row per ``r`` (measured total BSP cost per
-    sorter, the per-``r`` winner) plus ``crossover``: the measured and
-    analytically predicted smallest ``r`` where sample sort is no more
-    expensive than bitonic.  Runs route through
-    :func:`~repro.workloads.registry.run_workload`, so every point is a
-    real end-to-end request with its cost model checked.
-    """
-    from repro.engine.request import DEFAULT_PARAMS
-    from repro.workloads.registry import get, run_workload
-
-    if quick:
-        keys = tuple(keys)[:2]
-    g, l = DEFAULT_PARAMS["g"], DEFAULT_PARAMS["l"]
-    rows = []
-    crossover_measured = None
-    crossover_predicted = None
-    for r in keys:
-        costs: dict[str, int | None] = {}
-        for name in ("sample-sort-unit", "bitonic-sort", "columnsort"):
-            w = get(name)
-            params = {"keys_per_proc": int(r), "key_range": 1 << 16}
-            if w.supports is not None and not w.supports(p, params):
-                costs[name] = None
-                continue
-            run = run_workload(name, p=p, seed=seed, params=params)
-            run.report.assert_ok()
-            costs[name] = int(run.result.total_cost)
-        ranked = [(c, n) for n, c in costs.items() if c is not None]
-        winner = min(ranked)[1] if ranked else None
-        rows.append({"p": p, "keys_per_proc": int(r), **costs, "winner": winner})
-        if (
-            crossover_measured is None
-            and costs.get("sample-sort-unit") is not None
-            and costs.get("bitonic-sort") is not None
-            and costs["sample-sort-unit"] <= costs["bitonic-sort"]
-        ):
-            crossover_measured = int(r)
-        if (
-            crossover_predicted is None
-            and sample_unit_cost_closed_form(int(r), p, g, l)
-            <= bitonic_cost_closed_form(int(r), p, g, l)
-        ):
-            crossover_predicted = int(r)
-    return {
-        "study": "sorting-regimes",
-        "p": p,
-        "seed": seed,
-        "g": g,
-        "l": l,
-        "rows": rows,
-        "crossover": {
-            "measured_keys_per_proc": crossover_measured,
-            "predicted_keys_per_proc": crossover_predicted,
-        },
-    }

@@ -33,7 +33,9 @@ workloads' cost models)::
 
 where ``trailing`` is 1 if the base program ends with a charged drain
 row after its last Sync (work but no communication), else 0 — drain
-rows move no data, so streaming never splits them.
+rows move no data, so streaming never splits them.  ``python -m
+repro.experiments run PS`` (the ``streaming_bound`` table) measures it
+on both streamed workloads.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ __all__ = [
     "pseudo_stream",
     "stream_rounds",
     "streamed_supersteps",
+    "sample_sort_h_bound",
     "register_builtin_streaming",
-    "streaming_bound_study",
 ]
 
 
@@ -129,10 +131,10 @@ def _stream_sample_sort_factory(p, seed, keys_per_proc=32, chunk=8, key_range=1 
     from repro.programs import bsp_sample_sort_unit_program
 
     base = bsp_sample_sort_unit_program(keys_per_proc, key_range=key_range, seed=seed)
-    return pseudo_stream(base, chunk, _sample_sort_h_bound(p, keys_per_proc))
+    return pseudo_stream(base, chunk, sample_sort_h_bound(p, keys_per_proc))
 
 
-def _sample_sort_h_bound(p: int, r: int) -> int:
+def sample_sort_h_bound(p: int, r: int) -> int:
     """Data-independent per-processor h_send bound for the word-accurate
     sample sort: the root's splitter scatter ``(p-1)²``, the ``p``
     samples, or the full local block ``r`` leaving in the exchange."""
@@ -141,7 +143,7 @@ def _sample_sort_h_bound(p: int, r: int) -> int:
 
 def _stream_sample_sort_cost(result, p, params):
     r, chunk = int(params["keys_per_proc"]), int(params["chunk"])
-    predicted = streamed_supersteps(4, 1, _sample_sort_h_bound(p, r), chunk)
+    predicted = streamed_supersteps(4, 1, sample_sort_h_bound(p, r), chunk)
     max_send = max((rec.h_send for rec in result.ledger), default=0)
     return [
         ("supersteps == 3·rounds + 1", result.num_supersteps, predicted, "exact"),
@@ -236,54 +238,3 @@ def register_builtin_streaming() -> None:
     ]
     for w in entries:
         register(w, replace=True)
-
-
-def streaming_bound_study(seed: int = 0, quick: bool = False) -> dict:
-    """Prove the transformer's superstep bound on both streamed
-    workloads: for each base/chunk pair, run base and streamed, check
-    ``streamed == (base - trailing)·rounds + trailing`` exactly and
-    that no streamed superstep exceeds ``chunk`` sends.
-    """
-    from repro.workloads.registry import run_workload
-
-    cases = [
-        ("sample-sort-unit", "stream-sample-sort", 4,
-         {"p": 4, "keys_per_proc": 16, "chunks": (4, 8)},
-         lambda p, params: _sample_sort_h_bound(p, int(params["keys_per_proc"]))),
-        ("matvec", "stream-matvec", 2,
-         {"p": 4, "n": 16, "chunks": (1, 2)},
-         lambda p, params: p - 1),
-    ]
-    rows = []
-    for base_name, stream_name, base_steps, cfg, h_bound_of in cases:
-        p = cfg["p"]
-        base_params = {k: v for k, v in cfg.items() if k not in ("p", "chunks")}
-        base = run_workload(base_name, p=p, seed=seed, params=base_params)
-        base.report.assert_ok()
-        assert base.result.num_supersteps == base_steps, (
-            base_name, base.result.num_supersteps)
-        chunks = cfg["chunks"][:1] if quick else cfg["chunks"]
-        for chunk in chunks:
-            streamed = run_workload(
-                stream_name, p=p, seed=seed, params={**base_params, "chunk": chunk}
-            )
-            streamed.report.assert_ok()
-            h_bound = h_bound_of(p, base_params)
-            predicted = streamed_supersteps(base_steps, 1, h_bound, chunk)
-            observed = streamed.result.num_supersteps
-            max_send = max(rec.h_send for rec in streamed.result.ledger)
-            assert observed == predicted, (stream_name, chunk, observed, predicted)
-            assert max_send <= chunk, (stream_name, chunk, max_send)
-            rows.append({
-                "base": base_name,
-                "streamed": stream_name,
-                "p": p,
-                "chunk": int(chunk),
-                "h_bound": int(h_bound),
-                "base_supersteps": base_steps,
-                "streamed_supersteps": int(observed),
-                "predicted_supersteps": int(predicted),
-                "max_h_send": int(max_send),
-                "bound_holds": True,
-            })
-    return {"study": "streaming-bound", "seed": seed, "rows": rows}

@@ -20,6 +20,14 @@ class TestServeSmoke:
         assert "pool saw only unique points" in out
         assert out.count("PASS") >= 8
 
+    def test_repeat_smoke_in_one_directory(self, tmp_path, monkeypatch, capsys):
+        """Each smoke runs on its own temporary store, so a second run in
+        the same directory still sees misses first, and none is left."""
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert run_cli("serve", "--smoke") == 0, capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+
 
 class TestRequestCLI:
     def test_dry_run_prints_request_and_key(self, capsys):

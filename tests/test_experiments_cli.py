@@ -43,12 +43,23 @@ class TestCLI:
 
     @pytest.mark.parametrize("exp_id, names", [
         ("P1", ["cb_synchronization"]),
-        ("ST", ["stalling_hotspot", "stalling_storm"]),
+        ("ST", ["stalling_hotspot", "stalling_storm", "stalling_cycle_on_bsp",
+                "stalling_program_on_bsp", "buffer_growth"]),
         ("WP", ["workpreserving"]),
+        ("AB", ["ablation_routing", "ablation_cost_conventions",
+                "ablation_schedulers", "ablation_acceptance"]),
+        ("APP", ["bsp_on_logp_modes"]),
+        ("BF", ["bridging_fidelity"]),
+        ("FR", ["fault_resilience_logp", "fault_resilience_bsp",
+                "fault_resilience_routing"]),
+        ("SRT", ["sorting_analytic_crossover", "sorting_executable_schemes",
+                 "sorting_regimes"]),
+        ("PS", ["streaming_bound"]),
+        ("NS", ["numeric_scalability"]),
     ])
     def test_run_prints_the_committed_tables(self, exp_id, names, capsys):
-        """``run <id>`` and the id's bench render the same tables: each
-        committed ``benchmarks/results`` file appears verbatim."""
+        """``run <id>`` prints the id's committed ``benchmarks/results``
+        files verbatim (the benches write the same text)."""
         results = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
         assert main(["run", exp_id]) == 0
         out = capsys.readouterr().out
@@ -56,8 +67,11 @@ class TestCLI:
             assert (results / f"{name}.txt").read_text() in out, name
 
     def test_registry_complete(self):
-        """Every DESIGN.md experiment id is runnable."""
-        assert set(EXPERIMENTS) == {"T1", "TH1", "P1", "TH2", "TH3", "ST", "OB1", "WP"}
+        """Every DESIGN.md experiment id with a committed table is runnable."""
+        assert set(EXPERIMENTS) == {
+            "T1", "TH1", "P1", "TH2", "TH3", "ST", "OB1", "WP",
+            "AB", "APP", "BF", "FR", "SRT", "PS", "NS",
+        }
         for _desc, fn in EXPERIMENTS.values():
             assert callable(fn)
 

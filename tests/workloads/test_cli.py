@@ -67,28 +67,6 @@ class TestRun:
             assert all(pt["validated"] for pt in w["points"])
 
 
-class TestSweep:
-    def test_sorting_regimes_reports_the_crossover(self, tmp_path, capsys):
-        out_path = tmp_path / "sorting.json"
-        assert main([
-            "workloads", "sweep", "sorting-regimes", "--out", str(out_path),
-        ]) == 0
-        assert "crossover" in capsys.readouterr().out
-        doc = json.loads(out_path.read_text())
-        cx = doc["crossover"]
-        assert cx["measured_keys_per_proc"] == cx["predicted_keys_per_proc"]
-
-    def test_streaming_bound_quick(self, capsys):
-        assert main(["workloads", "sweep", "streaming-bound", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "holds" in out and "VIOLATED" not in out
-
-    def test_numeric_scalability_quick(self, capsys):
-        assert main(["workloads", "sweep", "numeric-scalability", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "agree" in out and "DISAGREE" not in out
-
-
 class TestRequestCommand:
     def test_dry_run_prints_the_v2_document(self, capsys):
         assert main([

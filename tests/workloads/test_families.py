@@ -1,58 +1,61 @@
-"""The three family studies: sorting regimes, pseudo-streaming bounds,
-iterative-numeric scalability peaks."""
+"""The three family tables: sorting regimes (``SRT``), pseudo-streaming
+bounds (``PS``) and iterative-numeric scalability peaks (``NS``)."""
 
 import pytest
 
 from repro.bsp.machine import BSPMachine
 from repro.errors import ProgramError
+from repro.experiments import EXPERIMENTS
 from repro.models.params import BSPParams
-from repro.workloads import (
-    pseudo_stream,
-    run_workload,
-    scalability_study,
-    sorting_regime_study,
-    streamed_supersteps,
-    streaming_bound_study,
-)
+from repro.workloads import pseudo_stream, run_workload, streamed_supersteps
 from repro.workloads.streaming import stream_rounds
 
 
+@pytest.fixture(scope="module")
+def records():
+    """table name -> records, for every SRT, PS and NS table."""
+    return {
+        table.name: table.records
+        for exp_id in ("SRT", "PS", "NS")
+        for table in EXPERIMENTS[exp_id][1]()
+    }
+
+
+def _first_r(rows, cheaper) -> int | None:
+    return next((row["keys_per_proc"] for row in rows if cheaper(row)), None)
+
+
 class TestSortingRegimes:
-    def test_study_finds_the_crossover(self):
-        doc = sorting_regime_study()
-        cx = doc["crossover"]
-        assert cx["measured_keys_per_proc"] is not None
+    def test_study_finds_the_crossover(self, records):
+        rows = records["sorting_regimes"]
+        measured = _first_r(rows, lambda r: r["sample-sort-unit"] <= r["bitonic-sort"])
+        predicted = _first_r(
+            rows, lambda r: r["sample_closed_form"] <= r["bitonic_closed_form"]
+        )
+        assert measured is not None
         # The measured crossover sits exactly where the closed forms
         # predict it (both sorters' costs are checked exactly per row).
-        assert cx["measured_keys_per_proc"] == cx["predicted_keys_per_proc"]
+        assert measured == predicted
 
-    def test_rows_cover_both_regimes(self):
-        doc = sorting_regime_study()
-        winners = {row["winner"] for row in doc["rows"]}
+    def test_rows_cover_both_regimes(self, records):
+        winners = {row["winner"] for row in records["sorting_regimes"]}
         # Small n/p belongs to bitonic, large n/p to sample sort — the
         # paper-level regime split the study exists to demonstrate.
         assert "bitonic-sort" in winners
         assert "sample-sort-unit" in winners
 
-    def test_columnsort_only_enters_when_valid(self):
-        doc = sorting_regime_study()
-        for row in doc["rows"]:
+    def test_columnsort_only_enters_when_valid(self, records):
+        for row in records["sorting_regimes"]:
             r, p = row["keys_per_proc"], row["p"]
             valid = r >= 2 * (p - 1) ** 2
             assert (row["columnsort"] is not None) == valid, row
 
-    def test_quick_trims_the_grid(self):
-        doc = sorting_regime_study(quick=True)
-        assert len(doc["rows"]) == 2
-
 
 class TestStreamingBound:
-    def test_bound_proven_on_two_bases(self):
-        doc = streaming_bound_study()
-        rows = doc["rows"]
+    def test_bound_proven_on_two_bases(self, records):
+        rows = records["streaming_bound"]
         assert len({row["base"] for row in rows}) >= 2
         for row in rows:
-            assert row["bound_holds"]
             assert row["streamed_supersteps"] == row["predicted_supersteps"]
             assert row["max_h_send"] <= row["chunk"]
             # Streaming a real h > chunk relation must cost barriers.
@@ -84,18 +87,19 @@ class TestStreamingBound:
 
 
 class TestNumericScalability:
-    def test_peaks_agree_on_the_full_grid(self):
-        doc = scalability_study()
+    def test_peaks_agree_on_the_full_grid(self, records):
         for name in ("jacobi", "gradient"):
-            k = doc["kernels"][name]
-            assert k["rows"], name
-            assert k["peaks_agree"], k
-            # The discrete argmin brackets the continuous minimizer.
-            ps = [row["p"] for row in k["rows"]]
-            assert min(ps) <= k["peak_continuous"] <= max(ps)
+            rows = [row for row in records["numeric_scalability"] if row["kernel"] == name]
+            assert rows, name
 
-    def test_measured_cost_equals_closed_form(self):
-        doc = scalability_study(quick=True)
-        for k in doc["kernels"].values():
-            for row in k["rows"]:
-                assert row["measured"] == row["predicted"], row
+            def argmin(key):
+                return min(rows, key=lambda row: row[key])["p"]
+
+            assert argmin("measured") == argmin("predicted"), name
+            # The discrete argmin brackets the continuous minimizer.
+            ps = [row["p"] for row in rows]
+            assert min(ps) <= rows[0]["peak_continuous"] <= max(ps)
+
+    def test_measured_cost_equals_closed_form(self, records):
+        for row in records["numeric_scalability"]:
+            assert row["measured"] == row["predicted"], row
