@@ -16,6 +16,10 @@ multi-port relations) against the per-tick scanning reference
       }
     }
 
+Each workload's ``speedup`` is the median over interleaved tick/event
+pairs of the per-pair wall-clock ratio, each pair flipping which kernel
+runs first (:func:`paired`); ``wall_s`` is each kernel's median wall.
+
 The gate (``--check``) is per-workload and two-sided:
 
 * the **gated kernel** (``event`` — what the experiments run) must beat
@@ -32,8 +36,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernel.py --quick --check  # CI
     PYTHONPATH=src python benchmarks/bench_kernel.py --quick --out b.json
 
-``--quick`` runs one repetition per measurement instead of three (same
-workload sizes, so speedups stay comparable to the committed file).
+``--quick`` times half as many pairs (3 per workload, 10 for
+``--obs-check``) at the same workload sizes, so speedups stay comparable
+to the committed file.
 ``--out`` writes the measured report to a path of your choice (the CI
 artifact) without touching the committed baseline.
 
@@ -94,6 +99,10 @@ GATED_KERNEL = "event"
 
 #: Kernels measured against the tick baseline, in report order.
 MEASURED_KERNELS = (GATED_KERNEL,)
+
+#: Interleaved tick/event pairs timed per workload with ``--quick``
+#: (twice as many without).
+KERNEL_PAIRS_QUICK = 3
 
 
 def _run_bsp_on_logp_sweep(kernel: str, obs=None) -> int:
@@ -182,66 +191,71 @@ WORKLOADS = {
 }
 
 
-def measure_interleaved(fn, kernels: tuple, repeats: int) -> dict:
-    """Best-of-``repeats`` per kernel, with repetitions round-robined
-    across the kernels instead of measured back-to-back.
+def paired(base, other, pairs: int, *, sweeps: int = 1,
+           clock=time.perf_counter):
+    """Time ``base`` against ``other`` in ``pairs`` interleaved pairs.
 
-    Back-to-back measurement carries a systematic ordering bias: host
-    frequency scaling and cache state drift over the seconds a slow
-    kernel occupies, so whichever kernel is measured last inherits the
-    worst conditions — easily a 10%+ skew between kernels whose true
-    difference is a few percent.  Round-robin repetitions spread that
-    drift evenly, so the per-kernel bests are taken under comparable
-    host conditions.
-    """
-    results = {k: {"best": float("inf"), "events": 0} for k in kernels}
-    for _ in range(repeats):
-        for kernel in kernels:
+    A pair calls the two sides alternately, ``sweeps`` times each, and
+    the next pair flips which side goes first, so host drift (frequency
+    scaling, a noisy neighbour) lands on both sides rather than on
+    whichever is timed last.  Returns ``(ratio, walls, events)``: the
+    median over the pairs of each pair's ``other / base`` wall-clock
+    ratio, each side's median wall per call, and each side's event
+    count.  The median ignores the pairs a burst of drift spoiled.
+    Best-of-N per side, timed side after side, read +59.6% comparing
+    two identical code paths."""
+    sides = (base, other)
+    ratios, walls, events = [], ([], []), [0, 0]
+    for i in range(pairs):
+        wall = [0.0, 0.0]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)) * sweeps:
             clear_plan_caches()
-            t0 = time.perf_counter()
-            events = fn(kernel)
-            wall = time.perf_counter() - t0
-            slot = results[kernel]
-            slot["events"] = events
-            if wall < slot["best"]:
-                slot["best"] = wall
+            t0 = clock()
+            events[side] = sides[side]()
+            wall[side] += clock() - t0
+        for side in (0, 1):
+            walls[side].append(wall[side] / sweeps)
+        ratios.append(wall[1] / wall[0])
+    return (
+        statistics.median(ratios),
+        tuple(statistics.median(w) for w in walls),
+        tuple(events),
+    )
+
+
+def _kernel_entry(kernel: str, events: int, wall: float) -> dict:
     return {
-        kernel: {
-            "kernel": kernel,
-            "events": slot["events"],
-            "wall_s": round(slot["best"], 4),
-            "events_per_s": (
-                round(slot["events"] / slot["best"]) if slot["best"] else 0
-            ),
-        }
-        for kernel, slot in results.items()
+        "kernel": kernel,
+        "events": events,
+        "wall_s": round(wall, 4),
+        "events_per_s": round(events / wall) if wall else 0,
     }
 
 
-def run_all(repeats: int) -> dict:
+def run_all(pairs: int, clock=time.perf_counter) -> dict:
+    """Measure every workload: the gated kernel against the tick
+    reference in ``pairs`` interleaved pairs.  Its ``speedup`` is the
+    median of the per-pair tick/event wall ratios."""
     workloads = {}
     for name, fn in WORKLOADS.items():
-        measured = measure_interleaved(
-            fn, ("tick", *MEASURED_KERNELS), repeats
-        )
-        baseline = measured["tick"]
+        fn(GATED_KERNEL)  # untimed: the first call builds cached inputs
         kernels = {}
         for kernel in MEASURED_KERNELS:
-            current = measured[kernel]
-            if current["events"] != baseline["events"]:
+            speedup, walls, events = paired(
+                lambda k=kernel: fn(k), lambda: fn("tick"), pairs, clock=clock
+            )
+            if events[0] != events[1]:
                 raise AssertionError(
                     f"{name}: kernels diverged — {kernel} processed "
-                    f"{current['events']} events, tick {baseline['events']}"
+                    f"{events[0]} events, tick {events[1]}"
                 )
-            current["speedup"] = (
-                round(baseline["wall_s"] / current["wall_s"], 2)
-                if current["wall_s"]
-                else 0.0
-            )
-            kernels[kernel] = current
+            kernels[kernel] = {
+                **_kernel_entry(kernel, events[0], walls[0]),
+                "speedup": round(speedup, 2),
+            }
         workloads[name] = {
             "floor": FLOOR,
-            "baseline": baseline,
+            "baseline": _kernel_entry("tick", events[1], walls[1]),
             "kernels": kernels,
         }
     return {
@@ -281,45 +295,26 @@ def print_report(report: dict) -> None:
 #: at every constructor boundary, so the hot loops are byte-identical.
 OBS_OVERHEAD_LIMIT = 0.05
 
-#: Interleaved base/disabled pairs ``--obs-check`` times with ``--quick``
-#: (twice as many without); one pair takes ~0.3 s.
-OBS_PAIRS_QUICK = 20
-
-
-def paired_overhead(base, other, pairs: int, clock=time.perf_counter):
-    """Relative wall-clock overhead of ``other`` over ``base``: the
-    median over ``pairs`` of each pair's ``other / base - 1``.  Returns
-    ``(overhead, base events, other events)``.
-
-    Each pair times the two sides back to back and the next pair flips
-    which side goes first, so host drift (frequency scaling, a noisy
-    neighbour) lands on both sides rather than on whichever is timed
-    last, and the median ignores the pairs a burst of drift spoiled.
-    Best-of-N per side, timed side after side, read +59.6% comparing
-    two identical code paths."""
-    sides = (base, other)
-    ratios, events = [], [0, 0]
-    for i in range(pairs):
-        wall = [0.0, 0.0]
-        for side in (0, 1) if i % 2 == 0 else (1, 0):
-            clear_plan_caches()
-            t0 = clock()
-            events[side] = sides[side]()
-            wall[side] = clock() - t0
-        ratios.append(wall[1] / wall[0])
-    return statistics.median(ratios) - 1.0, events[0], events[1]
+#: Interleaved base/disabled pairs ``--obs-check`` times with
+#: ``--quick`` (twice as many without), and the sweeps each side of a
+#: pair runs: one sweep per side let per-pair ratios of two identical
+#: sides spread 0.67-1.21.
+OBS_PAIRS_QUICK = 10
+OBS_SWEEPS = 2
 
 
 def obs_check(pairs: int) -> int:
     from repro.obs import Observation
 
-    overhead, base_events, disabled_events = paired_overhead(
+    ratio, _walls, (base_events, disabled_events) = paired(
         lambda: _run_bsp_on_logp_sweep("event"),
         lambda: _run_bsp_on_logp_sweep(
             "event", obs=Observation(enabled=False)
         ),
         pairs,
+        sweeps=OBS_SWEEPS,
     )
+    overhead = ratio - 1.0
     if disabled_events != base_events:
         print(
             f"FAIL  obs-check: event counts diverged "
@@ -330,7 +325,7 @@ def obs_check(pairs: int) -> int:
     print(
         f"{'ok  ' if ok else 'FAIL'}  obs-check: bsp_on_logp_p64 disabled-"
         f"instrumentation overhead {overhead * 100:+.1f}% "
-        f"(median of {pairs} interleaved pairs; "
+        f"(median of {pairs} interleaved pairs of {OBS_SWEEPS} sweeps; "
         f"limit {OBS_OVERHEAD_LIMIT * 100:.0f}%)"
     )
     return 0 if ok else 1
@@ -395,7 +390,7 @@ def check(report: dict, committed: dict | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
-        "--quick", action="store_true", help="one repetition per measurement"
+        "--quick", action="store_true", help="time half as many pairs"
     )
     parser.add_argument(
         "--check",
@@ -425,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.obs_check and not (args.check or args.update or args.out):
         return obs_check(obs_pairs)
 
-    report = run_all(repeats=1 if args.quick else 3)
+    report = run_all(KERNEL_PAIRS_QUICK if args.quick else 2 * KERNEL_PAIRS_QUICK)
     print_report(report)
 
     rc = 0

@@ -19,6 +19,15 @@ The generator's ``return`` value becomes the processor's result.
 Instructions are matched by exact type: an instance of a subclass of an
 instruction is not an instruction, and the machine rejects it with a
 :class:`~repro.errors.ProgramError`.
+
+Instructions are plain values, one per simulated operation, so they are
+built cheaply: each class is a slotted dataclass
+(``@dataclass(slots=True, unsafe_hash=True)``), not a frozen one, which
+would pay one ``object.__setattr__`` per field.  Equality is
+class-strict and over the fields (a BSP ``Send`` never equals a LogP
+one), and equal instructions hash equal.  The machine reads an
+instruction once, when it is yielded, and the library never mutates
+one; the field-less ``Sync`` has no attribute that can be set at all.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from repro.models.message import Message
 __all__ = ["Compute", "Send", "Sync", "BSPContext", "BSPProgram", "Instruction"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compute:
     """Account for ``ops`` local operations in the current superstep."""
 
@@ -43,7 +52,7 @@ class Compute:
             raise ProgramError(f"Compute requires ops >= 0, got {self.ops}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Send:
     """Insert one message into the output pool.
 
@@ -57,7 +66,7 @@ class Send:
     tag: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sync:
     """End the local computation phase of the current superstep."""
 

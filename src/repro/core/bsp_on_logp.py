@@ -300,7 +300,7 @@ def simulate_bsp_on_logp(
                     # Unwrap the (bsp_tag, payload) envelope into the
                     # messages the BSP program expects in its input pool.
                     received = [
-                        Message(src=m.src, dest=pid, payload=m.payload[1], tag=m.payload[0])
+                        Message(m.src, pid, m.payload[1], m.payload[0])
                         for m in outcome.received
                     ]
                 else:
@@ -414,7 +414,7 @@ def _route_resilient(ctx: LogPContext, outgoing, tag_ns: int):
     expected = sum(m.payload for m in count_msgs)
     payload_msgs = yield from recv_n_tagged(ctx, tag_ns + _PAYLOAD_TAG, expected)
     return [
-        Message(src=m.src, dest=pid, payload=m.payload[1], tag=m.payload[0])
+        Message(m.src, pid, m.payload[1], m.payload[0])
         for m in payload_msgs
     ]
 
@@ -445,9 +445,7 @@ def _route_known(
     remote_idx: list[int] = []
     for i, (dest, payload) in enumerate(outgoing):
         if dest == ctx.pid:
-            local.append(
-                Message(src=ctx.pid, dest=ctx.pid, payload=payload[1], tag=payload[0])
-            )
+            local.append(Message(ctx.pid, ctx.pid, payload[1], payload[0]))
         else:
             remote_idx.append(i)
     expected = info["expected_in"][ctx.pid] - len(local)
@@ -488,7 +486,7 @@ def _route_known(
 
     msgs = yield from recv_n_tagged(ctx, tag, expected)
     received = local + [
-        Message(src=m.src, dest=ctx.pid, payload=m.payload[1], tag=m.payload[0])
+        Message(m.src, ctx.pid, m.payload[1], m.payload[0])
         for m in msgs
     ]
     # Park until the phase's global end: a processor that received its own

@@ -336,9 +336,7 @@ def deterministic_route(
             cycle = (ctx.pid * r + q) % h
             if dest_id == ctx.pid:
                 # Local delivery: the model has no self-messages.
-                received.append(
-                    Message(src=src, dest=ctx.pid, payload=payload, tag=tag_ns + _PAYLOAD)
-                )
+                received.append(Message(src, ctx.pid, payload, tag_ns + _PAYLOAD))
                 continue
             to_send.append((cycle, dest_id, (src, payload)))
         # Ranks mod h wrap within a block, so sort by cycle to issue the
@@ -350,9 +348,7 @@ def deterministic_route(
                 ctx._stash.append(msg)
                 return
             m_src, m_payload = msg.payload
-            received.append(
-                Message(src=m_src, dest=ctx.pid, payload=m_payload, tag=tag_ns + _PAYLOAD)
-            )
+            received.append(Message(m_src, ctx.pid, m_payload, tag_ns + _PAYLOAD))
 
         # The paper charges this phase 2o + G(h-1) + L with the receiver
         # acquiring *concurrently* with its own sends.  When the model

@@ -395,9 +395,7 @@ def simulate_logp_on_bsp_workpreserving(
                 local: dict[int, list[Message]] = {it.pid: [] for it in interps}
                 for msg in bsp_ctx.inbox:
                     lpid, src_lpid, payload, tag = msg.payload
-                    local[lpid].append(
-                        Message(src=src_lpid, dest=lpid, payload=payload, tag=tag)
-                    )
+                    local[lpid].append(Message(src_lpid, lpid, payload, tag))
                 for it in interps:
                     it.deliver(local[it.pid])
                     for instr in it.run_window(window_end):

@@ -8,6 +8,16 @@ exact type: an instance of a subclass of an instruction is not an
 instruction, and the interpreter rejects it with a
 :class:`~repro.errors.ProgramError`.
 
+Instructions are plain values, one per simulated operation, so they are
+built cheaply: each class is a slotted dataclass
+(``@dataclass(slots=True, unsafe_hash=True)``), not a frozen one, which
+would pay one ``object.__setattr__`` per field.  Equality is
+class-strict and over the fields (``Compute(3) != WaitUntil(3)``), and
+equal instructions hash equal.  The interpreter reads an instruction
+once, when it is yielded, and the library never mutates one; the
+field-less ``Recv``, ``TryRecv`` and ``Linger`` have no attribute that
+can be set at all.
+
 Timing semantics (integer steps; see paper Section 2.2):
 
 ``Compute(n)``
@@ -68,7 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compute:
     """Occupy the processor for ``ops`` steps of local work."""
 
@@ -79,7 +89,7 @@ class Compute:
             raise ProgramError(f"Compute requires ops >= 0, got {self.ops}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Send:
     """Prepare (cost ``o``) and submit one message to ``dest``.
 
@@ -99,24 +109,24 @@ class Send:
             raise ProgramError(f"Send requires size >= 1, got {self.size}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Recv:
     """Acquire (cost ``o``) the earliest buffered message; blocks if none."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TryRecv:
     """Non-blocking receive; one step if nothing is acquirable."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WaitUntil:
     """Idle until absolute time ``time``."""
 
     time: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Linger:
     """Receive if anything arrives; resolve to ``None`` at quiescence."""
 

@@ -32,7 +32,7 @@ from repro.models.message import Message
 from repro.models.params import LogPParams
 from repro.logp.scheduler import AcceptancePolicy, DeliveryScheduler
 
-__all__ = ["Medium", "StallRecord", "InTransit"]
+__all__ = ["Medium", "StallRecord"]
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,6 @@ class StallRecord:
     @property
     def duration(self) -> int:
         return self.accept_time - self.submit_time
-
-
-@dataclass
-class InTransit:
-    """An accepted message on its way to ``msg.dest``."""
-
-    msg: Message
-    accept_time: int
-    deliver_time: int
 
 
 class Medium:

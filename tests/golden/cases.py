@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.core.bsp_on_logp import simulate_bsp_on_logp
 from repro.core.logp_on_bsp import simulate_logp_on_bsp
+from repro.engine.request import build_stack
 from repro.faults import FaultPlan, reliable
 from repro.logp.machine import LogPMachine, LogPResult
 from repro.models.params import LogPParams
@@ -183,8 +184,32 @@ def case_routing_multiport_dense(kernel: str) -> dict:
     return out
 
 
+def case_bsp_on_network(kernel: str) -> dict:
+    """Section 5's network-backed BSP through the request path: one
+    ``sim-network`` shape (radix sort, 64 processors on the hypercube),
+    each superstep re-priced by routing its h-relation packet by packet.
+    Pins the per-superstep route and barrier times, which no other case
+    covers, and the sorted outputs."""
+    run = build_stack({
+        "chain": "bsp-on-network",
+        "workload": "radix-sort",
+        "p": 64,
+        "args": {"keys_per_proc": 32},
+        "seed": 1,
+        "kernel": kernel,
+    }).run()
+    return {
+        "supersteps": [
+            [s.w, s.h, s.route_time, s.barrier_time] for s in run.supersteps
+        ],
+        "network_cost": run.network_cost,
+        "results": run.results,
+    }
+
+
 CASES = {
     "bsp_on_logp_det": case_bsp_on_logp_det,
+    "bsp_on_network": case_bsp_on_network,
     "logp_on_bsp": case_logp_on_bsp,
     "logp_faulty": case_logp_faulty,
     "routing": case_routing,

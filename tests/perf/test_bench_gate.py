@@ -10,13 +10,16 @@ reports so the rules are pinned without running any timed workload:
 * it must also stay within the ratio gate of its committed speedup;
 * committed baselines are read in both the v2 per-kernel layout and the
   legacy v1 event-only one;
-* ``--obs-check`` times its two sides in interleaved pairs and gates the
-  median of the per-pair ratios (``paired_overhead``, on a fake clock).
+* both gates time their two sides in interleaved pairs that alternate
+  which side goes first, and read the median of the per-pair ratios
+  (``paired``, on a fake clock): ``--check`` as each workload's
+  speedup, ``--obs-check`` as its overhead.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -120,9 +123,10 @@ class TestCommittedSpeedupLayouts:
 
 
 class FakeHost:
-    """A clock that only the timed sides advance: each run costs its
-    base cost, inflated by ``drift`` per run so far (a host that slows
-    down as the benchmark goes on)."""
+    """A clock that only the timed sides advance.  Each call of a side
+    costs its next cost (a list cycles, one entry per call), inflated by
+    ``drift`` per call so far (a host that slows down as the benchmark
+    goes on)."""
 
     def __init__(self, drift: float = 0.0) -> None:
         self.now, self.drift, self.calls = 0.0, drift, []
@@ -130,38 +134,105 @@ class FakeHost:
     def clock(self) -> float:
         return self.now
 
-    def side(self, name: str, cost: float, events: int):
+    def side(self, name: str, cost, events: int):
+        costs = itertools.cycle(cost if isinstance(cost, list) else [cost])
+
         def run() -> int:
             self.calls.append(name)
-            self.now += cost * (1 + self.drift * len(self.calls))
+            self.now += next(costs) * (1 + self.drift * len(self.calls))
             return events
 
         return run
 
 
 class TestPairedOverhead:
-    def overhead(self, host, base_cost, other_cost, pairs, base_events=1,
-                 other_events=1):
-        return bench_kernel.paired_overhead(
+    """``paired``, the pairing helper behind both gates."""
+
+    def paired(self, host, base_cost, other_cost, pairs, base_events=1,
+               other_events=1, sweeps=1):
+        return bench_kernel.paired(
             host.side("base", base_cost, base_events),
             host.side("other", other_cost, other_events),
-            pairs, clock=host.clock,
+            pairs, sweeps=sweeps, clock=host.clock,
         )
 
     def test_each_pair_flips_which_side_goes_first(self):
         host = FakeHost()
-        self.overhead(host, 1.0, 1.0, 4)
+        self.paired(host, 1.0, 1.0, 4)
         assert host.calls == ["base", "other", "other", "base"] * 2
 
+    def test_sweeps_alternate_inside_a_pair(self):
+        host = FakeHost()
+        self.paired(host, 1.0, 1.0, 2, sweeps=3)
+        assert host.calls == ["base", "other"] * 3 + ["other", "base"] * 3
+
     def test_reads_the_ratio_and_both_event_counts(self):
-        overhead, base_events, other_events = self.overhead(
+        ratio, walls, events = self.paired(
             FakeHost(), 1.0, 1.03, 5, base_events=7, other_events=9)
-        assert overhead == pytest.approx(0.03)
-        assert (base_events, other_events) == (7, 9)
+        assert ratio == pytest.approx(1.03)
+        assert walls == pytest.approx((1.0, 1.03))
+        assert events == (7, 9)
+
+    def test_ratio_is_the_median_of_per_pair_ratios(self):
+        """Per-pair ratios 2, 3 and 10: the median is 3, where the mean
+        would read 5 and the ratio of the best walls 2."""
+        ratio, walls, _ = self.paired(FakeHost(), 1.0, [2.0, 3.0, 10.0], 3)
+        assert ratio == pytest.approx(3.0)
+        assert walls == pytest.approx((1.0, 3.0))
+
+    def test_a_pair_sums_its_sweeps(self):
+        """Three sweeps per side: each pair's ratio is the ratio of the
+        sums (2+4+6) / (1+1+1) = 4; the wall is per sweep."""
+        ratio, walls, _ = self.paired(
+            FakeHost(), 1.0, [2.0, 4.0, 6.0], 1, sweeps=3)
+        assert ratio == pytest.approx(4.0)
+        assert walls == pytest.approx((1.0, 4.0))
 
     def test_host_drift_lands_on_both_sides(self):
         """Identical sides on a host slowing 2% per run: the interleaved
-        median reads ~0, where timing every base run first and comparing
-        best-of-N would read +16%."""
-        overhead, _, _ = self.overhead(FakeHost(drift=0.02), 1.0, 1.0, 8)
-        assert abs(overhead) < 0.01
+        median reads ~1, where timing every base run first and comparing
+        best-of-N would read 1.16."""
+        ratio, _, _ = self.paired(FakeHost(drift=0.02), 1.0, 1.0, 8)
+        assert abs(ratio - 1) < 0.01
+
+
+class TestKernelSpeedup:
+    """``run_all`` reads each workload's speedup as the median of
+    interleaved tick/event pairs."""
+
+    def run_all(self, monkeypatch, event_costs, tick_costs, pairs):
+        host = FakeHost()
+        sides = {
+            "event": host.side("event", event_costs, 40),
+            "tick": host.side("tick", tick_costs, 40),
+        }
+        calls = []
+
+        def workload(kernel: str) -> int:
+            calls.append(kernel)
+            if len(calls) == 1:
+                return 40  # run_all's untimed warm-up call
+            return sides[kernel]()
+
+        monkeypatch.setattr(bench_kernel, "WORKLOADS", {"w": workload})
+        report = bench_kernel.run_all(pairs, clock=host.clock)
+        return host, calls[0], report["workloads"]["w"]
+
+    def test_speedup_is_the_median_of_pair_ratios(self, monkeypatch):
+        _, _, measured = self.run_all(
+            monkeypatch, 1.0, [4.0, 1.5, 3.0, 2.5, 30.0], 5)
+        assert measured["kernels"]["event"]["speedup"] == 3.0
+        assert measured["baseline"]["wall_s"] == 3.0
+        assert measured["kernels"]["event"]["events"] == 40
+
+    def test_pair_order_alternates(self, monkeypatch):
+        host, warmup, _ = self.run_all(monkeypatch, 1.0, 2.0, 4)
+        assert warmup == "event"
+        assert host.calls == ["event", "tick", "tick", "event"] * 2
+
+    def test_gate_reads_the_median(self, monkeypatch):
+        """One burst-spoiled pair (0.5x) does not fail a workload whose
+        other pairs read 2x against a committed 2x."""
+        _, _, measured = self.run_all(monkeypatch, 1.0, [2.0, 0.5, 2.0], 3)
+        committed = {"workloads": {"w": entry(event=2.0)}, "gate_ratio": 0.8}
+        assert bench_kernel.check(report(w=measured), committed) == 0
