@@ -51,11 +51,12 @@ dist-smoke:
 		print('dist-smoke ok:', doc['result'])"
 
 # Simulation service end to end (see docs/SERVICE.md): start a real
-# TCP server on an ephemeral port, drive 15 requests through real
-# sockets (3 unique points x 4 concurrent copies, then 3 repeats), and
-# self-check the counters: 3 misses, 9 in-flight dedups, 3 cache hits,
-# pool saw exactly the 3 unique points, stats reconcile.  Each run uses
-# a fresh temporary store, so it can be repeated.
+# TCP server on an ephemeral port, drive 20 requests through real
+# sockets (4 unique points x 4 concurrent copies, then 4 repeats), and
+# self-check the counters: 4 misses, 12 in-flight dedups, 4 cache hits,
+# exactly the 4 unique points computed, the one bsp-on-logp point in
+# the forked worker process, stats reconcile.  Each run uses a fresh
+# temporary store, so it can be repeated.
 serve-smoke:
 	PYTHONPATH=src python -m repro.experiments serve --smoke
 

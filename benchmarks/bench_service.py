@@ -9,9 +9,10 @@ the simulators.
 Per phase, a request population is built so that the chosen fraction of
 submissions repeats already-cached points (prewarmed before the timed
 region) while the rest are distinct cold misses.  The service runs with
-``workers=0`` — misses compute *in the dispatcher's thread*, no pool
-worker process is ever spawned — so the phase results double as the
-acceptance proof for the hit path:
+``workers=0`` and every request is a native ``bsp`` point, so misses
+compute *in a thread of the service's own process* and its worker
+process stays idle.  The phase results thus double as the acceptance
+proof for the hit path:
 
 * at every hit rate the stats must **reconcile exactly**:
   ``requests == served == hit + dedup + miss``;
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
          "hit", "dedup", "miss", "pool pts", "reconciled"],
         rows,
         title=f"service throughput vs hit rate ({total} requests/phase, "
-        f"workers=0: misses compute in-process, no pool worker spawned)",
+        f"workers=0: bsp misses compute in-process)",
     ))
     if args.out:
         path = dump_json(args.out, "bench_service", report)

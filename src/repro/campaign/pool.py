@@ -43,6 +43,12 @@ __all__ = ["run_pool", "execute_point"]
 #: Upper bound on points per chunk; small chunks keep stealing granular.
 MAX_CHUNK = 8
 
+#: Seconds between repeats of a point's alarm once it has fired, until
+#: the point stops.  An alarm that lands while the interpreter runs a
+#: finalizer (an object's ``__del__``, say) raises its ``TimeoutError``
+#: there, where Python swallows it; the next alarm raises again.
+ALARM_REPEAT_S = 0.1
+
 
 def _watchdog_execute(target_fn, point: dict, timeout_s: float, key: str):
     """Timeout fallback where SIGALRM cannot fire (non-main thread, or a
@@ -125,7 +131,7 @@ def execute_point(target_fn, item: dict, timeout_s: float | None) -> dict:
         }
     if use_alarm:
         old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        signal.setitimer(signal.ITIMER_REAL, timeout_s, ALARM_REPEAT_S)
     try:
         record = target_fn(point)
     except TimeoutError as exc:

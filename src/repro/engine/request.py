@@ -65,6 +65,29 @@ DEFAULT_TOPOLOGY = "hypercube (multi-port)"
 _TOPOLOGY_CACHE_SIZE = 16
 
 
+def _network_topology(name: str, p: int):
+    """The shared topology instance a ``network`` layer runs on for
+    ``(name, p)``; its ``p`` is the request's processor count rounded to
+    the topology's natural grid.
+
+    One instance per ``(name, p)`` lives in the ``topology`` plan cache:
+    a built topology never changes, and its exact diameter memoizes on
+    the instance.  A size the builder refuses is a labelled
+    :class:`~repro.errors.ParameterError`."""
+    from repro.errors import TopologyError
+    from repro.networks.params import make_topology
+    from repro.perf.memo import plan_cache
+
+    try:
+        return plan_cache("topology", maxsize=_TOPOLOGY_CACHE_SIZE).get(
+            (name, p), lambda: make_topology(name, p)[0]
+        )
+    except TopologyError as exc:
+        raise ParameterError(
+            f"RunRequest topology {name!r} cannot hold p={p}: {exc}"
+        ) from None
+
+
 def parse_chain(spec: str) -> tuple[str, list[str]]:
     """``"bsp-on-logp-on-network"`` -> ``("bsp", ["logp", "network"])``.
 
@@ -218,6 +241,11 @@ class RunRequest:
     metrics: bool = False
     version: int = REQUEST_VERSION
 
+    #: The shared topology a network chain runs on, looked up once at
+    #: intake for :func:`build_stack`; not a field, so not part of the
+    #: request's identity.
+    _network = None
+
     def __post_init__(self) -> None:
         chain = "-on-".join(
             str(self.chain).strip().lower().replace("_", "-").split("-on-")
@@ -254,6 +282,11 @@ class RunRequest:
                     f"unknown topology {self.topology!r}; choose from "
                     f"{sorted(TOPOLOGY_BUILDERS)}"
                 )
+        run_p = self.p  # the p the stack will run at
+        if "network" in hosts:  # rounds p to the topology's grid
+            network = _network_topology(self.topology, self.p)
+            object.__setattr__(self, "_network", network)
+            run_p = network.p
         if self.kernel is not None:
             from repro.perf.event_queue import KERNELS
 
@@ -291,7 +324,13 @@ class RunRequest:
                     f"RunRequest workload {self.workload!r} is a {w.model} "
                     f"program but chain {self.chain!r} has guest {guest!r}"
                 )
-            w.merged(dict(self.args))  # rejects unknown parameter names
+            merged = w.merged(dict(self.args))  # rejects unknown names
+            if w.supports is not None and not w.supports(run_p, merged):
+                given = "".join(f", {k}={v}" for k, v in sorted(merged.items()))
+                raise ParameterError(
+                    f"RunRequest workload {self.workload!r} does not support "
+                    f"p={run_p}{given}"
+                )
         elif "dist" not in hosts:
             known = request_programs(guest)
             name = self.program
@@ -402,17 +441,8 @@ def build_stack(request: RunRequest | dict):
         stack = Stack(name).on_dist(p)
         return dataclasses.replace(stack, request=req)
 
-    topo = None
-    if "network" in hosts:
-        from repro.networks.params import make_topology
-        from repro.perf.memo import plan_cache
-
-        # One shared instance per (name, p): a built topology never
-        # changes, and its exact diameter memoizes on the instance.
-        # Runs keep their route memos to themselves.
-        topo = plan_cache("topology", maxsize=_TOPOLOGY_CACHE_SIZE).get(
-            (req.topology, p), lambda: make_topology(req.topology, p)[0]
-        )
+    topo = req._network  # shared per (name, p); runs keep their route memos
+    if topo is not None:
         p = topo.p  # arrays &c. round to their natural grid
 
     logp = LogPParams(p=p, L=params["L"], o=params["o"], G=params["G"])

@@ -1341,7 +1341,8 @@ def _print_service_stats(stats: dict) -> None:
     rows = [
         (k, stats[k])
         for k in ("requests", "served", "hit", "dedup", "miss", "failed",
-                  "pool_jobs", "pool_points", "hit_rate", "reconciled")
+                  "pool_jobs", "pool_points", "worker_points",
+                  "worker_peak_rss_mb", "hit_rate", "reconciled")
     ]
     print(render_table(["counter", "value"], rows, title="service stats"))
 
@@ -1394,10 +1395,11 @@ def _serve(args) -> int:
 
 def _serve_smoke(cfg, args) -> int:
     """Self-contained end-to-end smoke: real server, real socket client,
-    mixed hit/miss/dedup traffic, counters asserted to reconcile.  It
-    runs against a fresh temporary store, deleted afterwards, so every
-    run starts with nothing cached.  Backs ``make serve-smoke`` and the
-    service-smoke CI job."""
+    mixed hit/miss/dedup traffic, counters asserted to reconcile.  Three
+    native points compute in the server and one ``bsp-on-logp`` point in
+    the worker process.  It runs against a fresh temporary store,
+    deleted afterwards, so every run starts with nothing cached.  Backs
+    ``make serve-smoke`` and the service-smoke CI job."""
     import asyncio
     import dataclasses
     import tempfile
@@ -1406,6 +1408,7 @@ def _serve_smoke(cfg, args) -> int:
     from repro.service import serve as serve_tcp
 
     docs = [{"chain": "bsp", "p": 4, "seed": s} for s in range(3)]
+    docs.append({"chain": "bsp-on-logp", "p": 4})  # the worker's lane
     copies = 4
 
     async def _main(cfg) -> tuple[dict, list]:
@@ -1442,6 +1445,7 @@ def _serve_smoke(cfg, args) -> int:
         (f"dedup == {n * (copies - 1)}", stats["dedup"] == n * (copies - 1)),
         (f"hit == {n} repeats", stats["hit"] == n),
         ("pool saw only unique points", stats["pool_points"] == n),
+        ("worker computed the bsp-on-logp point", stats["worker_points"] == 1),
         ("no failures", stats["failed"] == 0),
     ]
     _print_service_stats(stats)
@@ -1760,7 +1764,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_p = sub.add_parser(
         "serve",
         help="serve RunRequest documents over TCP: cache hits from the "
-        "sharded store, in-flight dedup, misses batched to the pool "
+        "sharded store, in-flight dedup, native misses computed in the "
+        "server and every other chain's in one forked worker process "
         "(see docs/SERVICE.md)",
     )
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -1779,8 +1784,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_p.add_argument(
         "--workers", type=int, default=0,
-        help="pool processes for miss batches; 0 computes in-process "
-        "(default 0)",
+        help="pool processes per miss batch, spawned per batch; 0 or 1 "
+        "computes bsp/logp misses in the server and every other chain's "
+        "in one persistent forked worker process (default 0)",
     )
     serve_p.add_argument(
         "--timeout", type=float, default=60.0, help="per-point timeout",

@@ -17,7 +17,6 @@ The uid contract
 
 * ``uid`` is drawn eagerly, at construction, from one process-wide
   counter, so no two messages built in a process share it.
-  :meth:`Message.redirect` builds a new message and draws a new uid.
 * ``copy.copy``, ``copy.deepcopy`` and ``pickle`` keep the uid: a copy
   is the same message.  No other path builds a message with a given
   uid (there is no ``_replace`` or ``_make``).
@@ -69,12 +68,12 @@ class Message(tuple):
     size:
         Length in words (>= 1); only meaningful on LogGP machines.
     uid:
-        Process-wide unique id, drawn eagerly at construction (copies
-        made by :meth:`redirect` draw a fresh one).  Traces refer to
-        messages by it, and :class:`~repro.faults.medium.FaultyMedium`
-        keys each message's fate, drops and duplicate ghosts by it, so a
-        lossy run is correct only because no two messages share a uid.
-        It takes no part in equality.
+        Process-wide unique id, drawn eagerly at construction.  Traces
+        refer to messages by it, and
+        :class:`~repro.faults.medium.FaultyMedium` keys each message's
+        fate, drops and duplicate ghosts by it, so a lossy run is correct
+        only because no two messages share a uid.  It takes no part in
+        equality.
     """
 
     __slots__ = ()
@@ -90,14 +89,6 @@ class Message(tuple):
     tag = _tuplegetter(3, "Protocol-phase namespace.")
     size = _tuplegetter(4, "Length in words.")
     uid = _tuplegetter(5, "Process-wide unique id; not part of equality.")
-
-    def redirect(self, new_dest: int) -> "Message":
-        """Copy of this message with a different destination.
-
-        Used by store-and-forward relaying (a relay re-sends the original
-        message body toward its true destination).
-        """
-        return Message(self.src, new_dest, self.payload, self.tag, self.size)
 
     # Value semantics over the body; a non-Message gets an answer, not
     # NotImplemented, or tuple's reflected comparison would match a

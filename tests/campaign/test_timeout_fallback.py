@@ -81,3 +81,29 @@ def test_no_timeout_means_no_watchdog_and_no_alarm():
     entry = execute_point(quick, item(), timeout_s=None)
     assert entry["status"] == "ok"
     assert threading.active_count() >= 1  # nothing left lingering is best-effort
+
+
+def _spin(seconds: float) -> None:
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+class _SlowFinalizer:
+    def __del__(self):
+        _spin(0.3)  # the point's first alarms land here
+
+
+def finalizing(point):
+    _SlowFinalizer()  # finalized at once
+    _spin(3.0)
+    return {"never": "reached"}
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_alarm_swallowed_by_a_finalizer_fires_again():
+    """Python swallows an exception raised in ``__del__``, so an alarm
+    landing there is lost; the alarm repeats until the point stops."""
+    entry = execute_point(finalizing, item(), timeout_s=0.1)
+    assert entry["status"] == "timeout"
+    assert entry["wall_s"] < 2.0

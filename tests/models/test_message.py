@@ -17,11 +17,6 @@ class TestMessage:
         assert a == b
         assert a.uid != b.uid
 
-    def test_redirect_preserves_body(self):
-        m = Message(src=2, dest=5, payload={"k": 1}, tag=9)
-        r = m.redirect(7)
-        assert (r.src, r.dest, r.payload, r.tag) == (2, 7, {"k": 1}, 9)
-
     def test_frozen(self):
         m = Message(src=0, dest=1)
         try:
@@ -83,12 +78,6 @@ class TestValueSemantics:
     def test_repr_covers_the_body_only(self):
         a, b = Message(0, 1, "x", 2), Message(0, 1, "x", 2)
         assert repr(a) == repr(b) == "Msg(0->1, tag=2, payload='x')"
-
-    def test_redirect_draws_a_fresh_uid(self):
-        m = Message(0, 1, "x", 2, 3)
-        r = m.redirect(1)
-        assert r == m and r.uid != m.uid
-        assert r.size == 3
 
     @pytest.mark.parametrize(
         "clone",

@@ -1,8 +1,17 @@
 """The serve / request subcommands of python -m repro.experiments."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+import pytest
 
 from repro.experiments import main
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def run_cli(*argv) -> int:
@@ -27,6 +36,59 @@ class TestServeSmoke:
         for _ in range(2):
             assert run_cli("serve", "--smoke") == 0, capsys.readouterr().out
         assert not list(tmp_path.iterdir())
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``, read from /proc."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = pathlib.Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            out.append(int(entry))
+    return out
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestServeProcess:
+    def test_worker_exits_when_the_server_is_killed(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on "), line
+            port = int(line.split()[2].rsplit(":", 1)[1])
+            from repro.service import request_sync
+
+            [resp] = request_sync("127.0.0.1", port,
+                                  [{"chain": "bsp-on-logp", "p": 4}])
+            assert resp["ok"] and resp["outcome"] == "miss"
+            [worker] = _children(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        deadline = time.monotonic() + 2.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(worker)
 
 
 class TestRequestCLI:

@@ -83,6 +83,41 @@ class TestSchema:
         with pytest.raises(ParameterError, match=match):
             RunRequest.coerce({"chain": "bsp", **doc})
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ({"chain": "bsp", "workload": "matmul"},
+             "workload 'matmul' does not support p=8, n=8"),
+            ({"chain": "bsp", "workload": "columnsort"},
+             "workload 'columnsort' does not support p=8, .*keys_per_proc=18"),
+            ({"chain": "bsp-on-network", "workload": "columnsort", "p": 3},
+             "topology 'hypercube \\(multi-port\\)' cannot hold p=3: "
+             "hypercube requires a power-of-two size"),
+            ({"chain": "bsp-on-logp-on-network", "workload": "columnsort",
+              "p": 3},
+             "topology 'hypercube \\(multi-port\\)' cannot hold p=3"),
+        ],
+        ids=["matmul-p8", "columnsort-p8", "network-p3", "logp-network-p3"],
+    )
+    def test_unrunnable_point_rejected_at_coerce(self, doc, match):
+        """A point its stack cannot run — a workload at a p (after the
+        network's rounding) its entry does not support, or a size the
+        topology refuses — fails at intake, not later in the pool."""
+        with pytest.raises(ParameterError, match=match):
+            RunRequest.coerce(doc)
+
+    def test_supported_point_checked_at_the_rounded_p(self):
+        """A d-dim array rounds p=7 to a 3x3 grid, and matvec needs p to
+        divide n: n=49 is refused and n=36 accepted."""
+        with pytest.raises(ParameterError, match="does not support p=9"):
+            RunRequest.coerce({"chain": "bsp-on-network", "p": 7,
+                               "topology": "d-dim array",
+                               "workload": "matvec", "args": {"n": 49}})
+        req = RunRequest.coerce({"chain": "bsp-on-network", "p": 7,
+                                 "topology": "d-dim array",
+                                 "workload": "matvec", "args": {"n": 36}})
+        assert req.p == 7  # the document keeps its p; only the check rounds
+
     def test_integer_likes_still_accepted(self):
         import numpy as np
 

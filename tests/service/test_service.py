@@ -6,6 +6,9 @@ sync test functions — the CI environment has no pytest-asyncio.
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -13,6 +16,10 @@ import pytest
 from repro.service import ServiceConfig, SimulationService
 
 DOC = {"chain": "bsp", "program": "prefix", "p": 4}
+#: A cross-chain point the worker lane computes in well under a second
+#: and one it takes the better part of a second over.
+CROSS = {"chain": "bsp-on-logp", "program": "prefix", "p": 4}
+SLOW_CROSS = {"chain": "bsp-on-logp", "workload": "stream-sample-sort", "p": 16}
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
@@ -119,6 +126,141 @@ class TestMissDispatch:
         assert all(r["ok"] and r["outcome"] == "miss" for r in responses)
         assert jobs == [[r["key"] for r in responses]]
         assert stats.pool_jobs == 1 and stats.pool_points == 2
+
+
+async def _until_sent(svc, points: int) -> None:
+    """Wait until ``points`` misses have been handed to a lane, and a
+    little longer, so the worker has the last one."""
+    deadline = time.monotonic() + 10.0
+    while svc.stats.pool_points < points:
+        assert time.monotonic() < deadline, "the miss never reached a lane"
+        await asyncio.sleep(0.005)
+    await asyncio.sleep(0.3)
+
+
+class TestMissLanes:
+    """With ``workers <= 1``, native misses compute in the server and
+    every other chain's in one persistent worker process."""
+
+    def test_native_miss_answered_while_a_cross_chain_point_computes(
+            self, tmp_path):
+        async def body(svc):
+            order = []
+
+            async def submit(doc):
+                resp = await svc.submit(doc)
+                order.append(doc["chain"])
+                return resp
+
+            slow = asyncio.create_task(submit(SLOW_CROSS))
+            await _until_sent(svc, 1)
+            native = asyncio.create_task(submit(DOC))
+            return order, await asyncio.gather(slow, native), svc.stats
+
+        order, responses, stats = run_service(tmp_path, body)
+        assert all(r["ok"] and r["outcome"] == "miss" for r in responses)
+        assert order == ["bsp", "bsp-on-logp"]
+        assert stats.pool_points == 2 and stats.worker_points == 1
+        assert stats.worker_peak_rss_mb > 0
+
+    def test_mixed_concurrent_traffic_reconciles(self, tmp_path):
+        """Both lanes at once, every point submitted three times, with
+        thread switches forced often: one computation per key, each in
+        its own lane, and the counters reconcile."""
+        import sys
+
+        native = [{**DOC, "seed": s} for s in range(8)]
+        cross = [{**CROSS, "seed": s} for s in range(4)]
+
+        async def body(svc):
+            docs = (native + cross) * 3
+            responses = await asyncio.wait_for(
+                asyncio.gather(*(svc.submit(d) for d in docs)), 60)
+            return responses, svc.stats
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            responses, stats = run_service(tmp_path, body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r["ok"] for r in responses)
+        assert stats.counts == {"hit": 0, "dedup": 24, "miss": 12}
+        assert stats.reconciled()
+        assert stats.pool_points == 12 and stats.worker_points == 4
+
+    def test_worker_record_equals_the_in_process_record(self, tmp_path):
+        from repro.campaign.targets import run_point
+        from repro.engine.request import RunRequest
+
+        async def body(svc):
+            return await svc.submit(CROSS), svc.stats
+
+        resp, stats = run_service(tmp_path, body)
+        assert resp["ok"] and stats.worker_points == 1
+        want = run_point("request", RunRequest.coerce(CROSS).to_dict())
+        assert json.loads(resp["record"]) == json.loads(json.dumps(want))
+
+    def test_native_traffic_leaves_the_worker_idle(self, tmp_path):
+        async def body(svc):
+            await asyncio.gather(*(svc.submit({**DOC, "seed": s})
+                                   for s in range(3)))
+            return svc.stats.as_dict()
+
+        stats = run_service(tmp_path, body)
+        assert stats["pool_points"] == 3
+        assert stats["worker_points"] == 0
+        assert stats["worker_peak_rss_mb"] == 0
+
+    def test_killed_worker_fails_its_point_and_is_replaced(self, tmp_path):
+        async def body(svc):
+            first = asyncio.create_task(svc.submit(SLOW_CROSS))
+            await _until_sent(svc, 1)
+            os.kill(svc._worker._proc.pid, signal.SIGKILL)
+            crashed = await first
+            again = await svc.submit(SLOW_CROSS)
+            after = await svc.submit(CROSS)
+            return crashed, again, after, svc.stats
+
+        crashed, again, after, stats = run_service(tmp_path, body)
+        assert crashed["status"] == "crashed" and not crashed["ok"]
+        assert "worker process died" in crashed["error"]
+        assert again["outcome"] == "miss" and again["ok"]  # not a hit
+        assert after["outcome"] == "miss" and after["ok"]
+        assert stats.reconciled() and stats.failed == 1
+        assert stats.pool_points == 3 and stats.worker_points == 2
+
+    def test_point_over_timeout_is_interrupted(self, tmp_path):
+        async def body(svc):
+            return await svc.submit(SLOW_CROSS), await svc.submit(CROSS)
+
+        slow, after = run_service(tmp_path, body, timeout_s=0.2)
+        assert slow["status"] == "timeout" and "exceeded 0.2s" in slow["error"]
+        assert after["ok"] and after["outcome"] == "miss"
+
+    def test_failed_start_leaves_no_worker(self, tmp_path):
+        from repro.errors import ParameterError
+
+        run_service(tmp_path, lambda svc: asyncio.sleep(0))  # pins 4 shards
+        with pytest.raises(ParameterError, match="shard"):
+            run_service(tmp_path, lambda svc: asyncio.sleep(0), shards=8)
+        assert multiprocessing.active_children() == []
+
+    def test_close_stops_a_point_in_flight(self, tmp_path):
+        long_point = {**SLOW_CROSS, "p": 32}  # seconds of work
+
+        async def body():
+            svc = await SimulationService(_config(tmp_path)).start()
+            task = asyncio.create_task(svc.submit(long_point))
+            await _until_sent(svc, 1)
+            t0 = time.perf_counter()
+            await svc.close()
+            return time.perf_counter() - t0, await task
+
+        elapsed, resp = asyncio.run(body())
+        assert elapsed < 3.0
+        assert resp["error"] == "service closed before this point ran"
+        assert multiprocessing.active_children() == []
 
 
 class TestHitPath:

@@ -89,6 +89,12 @@ CASES = [
     ("request bsp --param L=8.5 --dry-run", "params L must be an integer"),
     ("request bsp --param L=8 --param L=16 --dry-run", "gives 'L' twice"),
     ("request bsp-on-network --topology nope --dry-run", "unknown topology 'nope'"),
+    ("request bsp --workload matmul --dry-run",
+     "workload 'matmul' does not support p=8"),
+    ("request bsp --workload columnsort --dry-run",
+     "workload 'columnsort' does not support p=8"),
+    ("request bsp-on-network --workload columnsort --p 3 --dry-run",
+     "cannot hold p=3: hypercube requires a power-of-two size, got 3"),
     ("campaign demo --grid x=1 --base y=1,2", "--base expects K=V"),
     ("campaign demo --grid x=1 --base p=8,16", "got '16' (in 'p=8,16')"),
     ("campaign demo --grid x=", "--grid expects AXIS=V1,V2,..."),
