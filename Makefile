@@ -1,6 +1,6 @@
 # Convenience targets; everything also works as plain pytest invocations.
 
-.PHONY: install test lint bench bench-only bench-kernel bench-service campaign-smoke dist-smoke serve-smoke workloads-smoke perfbench-smoke trace-demo experiments examples clean
+.PHONY: install test lint bench bench-only bench-kernel bench-service campaign-smoke dist-smoke serve-smoke workloads-smoke perfbench-smoke perfbench-digests trace-demo experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -79,6 +79,21 @@ perfbench-smoke:
 	python3 perfbench/run.py --workload sim-theorems --seconds 5 --trace 0
 	python3 perfbench/run.py --workload sim-network --seconds 5 --trace 0
 	python3 perfbench/run.py --workload serve-hot --seconds 5 --trace 0
+
+# Every request of every perfbench universe against the recorded
+# digests (about a minute): re-record digests.json from this tree's
+# src/ in a temporary copy of perfbench/ and compare it byte for byte
+# with the committed table, so a speed-up that changes any request's
+# simulated statistics or event count fails here, not only the
+# requests a 5 s perfbench-smoke run reaches.  Writes nothing in the
+# working tree.
+perfbench-digests:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	cp -R perfbench "$$tmp/perfbench" && \
+	PYTHONPATH="$(CURDIR)/src" PYTHONDONTWRITEBYTECODE=1 \
+		python3 "$$tmp/perfbench/record_digests.py" && \
+	cmp "$$tmp/perfbench/digests.json" perfbench/digests.json && \
+	echo "perfbench-digests ok: every universe matches perfbench/digests.json"
 
 # Served-requests/sec at 0/50/95% cache hit rate; asserts the counters
 # reconcile and the hit path never reaches the pool (docs/SERVICE.md).

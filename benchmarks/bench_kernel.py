@@ -38,7 +38,9 @@ Usage::
 
 ``--quick`` times half as many pairs (3 per workload, 10 for
 ``--obs-check``) at the same workload sizes, so speedups stay comparable
-to the committed file.
+to the committed file.  Each side of a pair calls its workload
+``WORKLOAD_SWEEPS[name]`` times, so even a 2 ms workload is timed over
+~0.2 s per side.
 ``--out`` writes the measured report to a path of your choice (the CI
 artifact) without touching the committed baseline.
 
@@ -190,6 +192,20 @@ WORKLOADS = {
     "routing_multiport_dense_xl": _run_routing_multiport_dense_xl,
 }
 
+#: Calls per side in each timed pair (``paired``'s ``sweeps``), sized so
+#: the event side's timed unit is >= ~0.2 s on a 2-core host (event-kernel
+#: calls take ~55, ~2, ~105, ~23 and ~220 ms there).  With one 20-60 ms
+#: call per side, host noise decided ``routing_multiport_dense``'s gate:
+#: 1.65x and 1.96x against 1.62x in two quick runs.  Workloads not listed
+#: run one call per side.
+WORKLOAD_SWEEPS = {
+    "bsp_on_logp_p64": 4,
+    "logp_machine_p64": 100,
+    "routing_singleport_faulty": 2,
+    "routing_multiport_dense": 10,
+    "routing_multiport_dense_xl": 1,
+}
+
 
 def paired(base, other, pairs: int, *, sweeps: int = 1,
            clock=time.perf_counter):
@@ -234,15 +250,20 @@ def _kernel_entry(kernel: str, events: int, wall: float) -> dict:
 
 def run_all(pairs: int, clock=time.perf_counter) -> dict:
     """Measure every workload: the gated kernel against the tick
-    reference in ``pairs`` interleaved pairs.  Its ``speedup`` is the
-    median of the per-pair tick/event wall ratios."""
+    reference in ``pairs`` interleaved pairs of ``WORKLOAD_SWEEPS``
+    calls per side.  Its ``speedup`` is the median of the per-pair
+    tick/event wall ratios."""
     workloads = {}
     for name, fn in WORKLOADS.items():
         fn(GATED_KERNEL)  # untimed: the first call builds cached inputs
         kernels = {}
         for kernel in MEASURED_KERNELS:
             speedup, walls, events = paired(
-                lambda k=kernel: fn(k), lambda: fn("tick"), pairs, clock=clock
+                lambda k=kernel: fn(k),
+                lambda: fn("tick"),
+                pairs,
+                sweeps=WORKLOAD_SWEEPS.get(name, 1),
+                clock=clock,
             )
             if events[0] != events[1]:
                 raise AssertionError(

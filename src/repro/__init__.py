@@ -34,7 +34,7 @@ The package layout underneath:
   expression in the paper;
 * :mod:`repro.faults` — deterministic fault injection + resilience;
 * :mod:`repro.programs` — ready-made example programs for both models;
-* :mod:`repro.engine` — the shared simulation engine: one drive loop,
+* :mod:`repro.engine` — what the simulators share: program intake,
   the result vocabulary, and the Stack adapters;
 * :mod:`repro.obs` — the observability layer (metrics, tracer, cost
   checks);

@@ -45,7 +45,7 @@ import numpy as np
 from repro.bsp.machine import BSPMachine, BSPResult
 from repro.bsp.program import BSPContext, BSPProgram, Compute as BCompute, Send as BSend, Sync
 from repro.core.cb import cb, cb_with_deadline
-from repro.core.det_routing import TAG_STRIDE, deterministic_route, _pinned_send
+from repro.core.det_routing import TAG_STRIDE, _drift, _overrun, deterministic_route
 from repro.engine.core import coerce_programs
 from repro.engine.result import MachineResult
 from repro.errors import ProgramError
@@ -454,7 +454,14 @@ def _route_known(
         colors = info["colors"][ctx.pid]
         for i in sorted(remote_idx, key=lambda i: colors[i]):
             dest, payload = outgoing[i]
-            yield from _pinned_send(ctx, start + colors[i] * G, dest, payload, tag)
+            # Pinned: submitted exactly at its color's slot.
+            slot = start + colors[i] * G
+            if ctx.clock > slot - o:
+                raise _overrun(ctx, slot)
+            yield WaitUntil(slot - o)
+            t_acc = yield Send(dest, payload, tag=tag)
+            if t_acc != slot:
+                raise _drift(slot, t_acc)
     else:  # randomized (Theorem 3)
         cap = params.capacity
         if R_factor is not None:

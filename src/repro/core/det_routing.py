@@ -191,23 +191,21 @@ class RouteOutcome:
     sort_scheme: str = "none"
 
 
-def _pinned_send(
-    ctx: LogPContext, slot: int, dest: int, payload: Any, tag: int
-) -> Generator:
-    """Submit exactly at global time ``slot`` (engine-verified)."""
-    o = ctx.params.o
-    if ctx.clock > slot - o:
-        raise AssertionError(
-            f"slot schedule overrun: processor {ctx.pid} at clock "
-            f"{ctx.clock} cannot submit at slot {slot}"
-        )
-    yield WaitUntil(slot - o)
-    t_acc = yield Send(dest, payload, tag=tag)
-    if t_acc != slot:
-        raise AssertionError(
-            f"pinned submission drifted: wanted slot {slot}, accepted at {t_acc}"
-        )
-    return None
+def _overrun(ctx: LogPContext, slot: int) -> AssertionError:
+    """A pinned submission's slot is already past when its ``WaitUntil``
+    would be issued."""
+    return AssertionError(
+        f"slot schedule overrun: processor {ctx.pid} at clock "
+        f"{ctx.clock} cannot submit at slot {slot}"
+    )
+
+
+def _drift(slot: int, t_acc: int) -> AssertionError:
+    """A pinned submission was accepted off its slot (the engine-verified
+    half of pinning: the schedule promised a stall-free slot)."""
+    return AssertionError(
+        f"pinned submission drifted: wanted slot {slot}, accepted at {t_acc}"
+    )
 
 
 def deterministic_route(
@@ -289,11 +287,18 @@ def deterministic_route(
                 continue
             partner, keep_low = action
             base = sort0 + t * span
+            tag = tag_ns + _SORT0 + t
+            # Each record is submitted exactly at its slot: WaitUntil
+            # its preparation start, then a Send accepted at the slot.
             for j, rec in enumerate(block):
-                yield from _pinned_send(
-                    ctx, base + j * G, partner, rec, tag=tag_ns + _SORT0 + t
-                )
-            msgs = yield from recv_n_tagged(ctx, tag_ns + _SORT0 + t, r)
+                slot = base + j * G
+                if ctx.clock > slot - o:
+                    raise _overrun(ctx, slot)
+                yield WaitUntil(slot - o)
+                t_acc = yield Send(partner, rec, tag=tag)
+                if t_acc != slot:
+                    raise _drift(slot, t_acc)
+            msgs = yield from recv_n_tagged(ctx, tag, r)
             theirs = sorted((m.payload for m in msgs), key=dest_key)
             block = merge_split(block, theirs, keep_low, key=dest_key)
             yield Compute(r)
@@ -370,7 +375,12 @@ def deterministic_route(
                         continue  # poll again (costs one step each time)
                     last_acq = ctx.clock - o
                     take(msg)
-            yield from _pinned_send(ctx, slot, dest_id, body, tag=tag_ns + _PAYLOAD)
+            if ctx.clock > slot - o:
+                raise _overrun(ctx, slot)
+            yield WaitUntil(slot - o)
+            t_acc = yield Send(dest_id, body, tag=tag_ns + _PAYLOAD)
+            if t_acc != slot:
+                raise _drift(slot, t_acc)
         t_end = t_start + (h - 1) * G + L + 1
         # Drain the remainder: the schedule bounds every delivery by
         # t_end, so polling until then provably collects everything

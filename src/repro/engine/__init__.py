@@ -1,8 +1,9 @@
-"""The shared simulation engine: one drive loop, one result vocabulary,
-and first-class layer composition for every simulator in the repo.
+"""The shared simulation engine: one result vocabulary, shared program
+intake, and first-class layer composition for every simulator in the
+repo.
 
-* :mod:`repro.engine.core` — the :class:`Engine` run loop plus the
-  shared program-intake and counter helpers all machines use.
+* :mod:`repro.engine.core` — the program-intake and counter helpers all
+  machines use (each machine owns its drive loop).
 * :mod:`repro.engine.result` — :class:`MachineResult` / :class:`TraceEvent`,
   the cross-layer result projection and trace vocabulary.
 * :mod:`repro.engine.stack` — :class:`Stack`, the declarative
@@ -14,7 +15,6 @@ and first-class layer composition for every simulator in the repo.
 
 from repro.engine.core import (
     KNOWN_KERNELS,
-    Engine,
     coerce_programs,
     counters_for,
     spawn_generator,
@@ -24,7 +24,6 @@ from repro.engine.stack import SUPPORTED_CHAINS, Stack, StackLayer
 from repro.engine.request import REQUEST_VERSION, RunRequest, build_stack, parse_chain
 
 __all__ = [
-    "Engine",
     "coerce_programs",
     "counters_for",
     "spawn_generator",

@@ -44,6 +44,10 @@ __all__ = [
 
 T = TypeVar("T")
 
+#: The one ``Recv`` the tag-dispatch helpers yield: the machine reads an
+#: instruction once and never mutates it, so a shared value is safe.
+_RECV = Recv()
+
 
 def recv_tag(ctx: LogPContext, tag: int) -> Generator[Any, Any, Message]:
     """Acquire messages until one carries ``tag``; stash the rest.
@@ -55,18 +59,33 @@ def recv_tag(ctx: LogPContext, tag: int) -> Generator[Any, Any, Message]:
         if msg.tag == tag:
             return ctx._stash.pop(i)
     while True:
-        msg = yield Recv()
+        msg = yield _RECV
         if msg.tag == tag:
             return msg
         ctx._stash.append(msg)
 
 
 def recv_n_tagged(ctx: LogPContext, tag: int, n: int) -> Generator[Any, Any, list[Message]]:
-    """Acquire exactly ``n`` messages carrying ``tag`` (stash-aware)."""
+    """Acquire exactly ``n`` messages carrying ``tag`` (stash-aware).
+
+    The same acquisitions as ``n`` calls of :func:`recv_tag`: stashed
+    matches first, in stash order, then fresh acquisitions, stashing the
+    mismatches (which can never match ``tag`` later).
+    """
     out: list[Message] = []
-    for _ in range(n):
-        msg = yield from recv_tag(ctx, tag)
-        out.append(msg)
+    stash = ctx._stash
+    i = 0
+    while i < len(stash) and len(out) < n:
+        if stash[i].tag == tag:
+            out.append(stash.pop(i))
+        else:
+            i += 1
+    while len(out) < n:
+        msg = yield _RECV
+        if msg.tag == tag:
+            out.append(msg)
+        else:
+            stash.append(msg)
     return out
 
 

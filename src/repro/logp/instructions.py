@@ -157,7 +157,7 @@ class LogPContext:
         self.params = params
         self.clock = 0
         # Program-level holding area for messages acquired but not yet
-        # consumed by tag-dispatch helpers (see logp.collectives.recv_match).
+        # consumed by tag-dispatch helpers (see logp.collectives.recv_tag).
         self._stash: list = []
 
     def __repr__(self) -> str:

@@ -10,15 +10,15 @@ submissions, which are processed before processor resumptions.  This makes
 the stalling rule's "messages in transit at time t" well defined — a
 message delivered at ``t`` is no longer in transit at ``t``.
 
-The drive loop itself — queue construction, fault activation, the
-``max_events`` guard, quiescence release, layer-labelled diagnostics —
-is the shared :class:`~repro.engine.core.Engine`; this module supplies
-only the LogP *dispatch* (the model semantics for deliver/submit/resume
-events).  The engine is generic over the event queue (``kernel=``): the
-production ``"event"`` kernel skips ahead to the next actionable
-timestamp and drains it as one batch, while the ``"tick"`` kernel is the
-per-tick scanning reference whose event order — and therefore every
-simulated clock, message order, and cost ledger — is identical by
+The machine owns its drive loop (:meth:`LogPMachine._drive`): it asks
+the event queue for each timestamp's sorted batch and walks it in
+place, handling deliver, submit, resume and crash entries inline, with
+the ``max_events`` guard, the quiescence release of lingering
+processors, and layer-labelled diagnostics.  The loop is generic over
+the event queue (``kernel=``): the production ``"event"`` kernel skips
+ahead to the next actionable timestamp, while the ``"tick"`` kernel is
+the per-tick scanning reference whose batches — and therefore every
+simulated clock, message order, and cost ledger — are identical by
 construction (see :mod:`repro.perf.event_queue` and ``docs/PERF.md``).
 """
 
@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Sequence
 
-from repro.engine.core import Engine, coerce_programs, spawn_generator
+from repro.engine.core import coerce_programs, spawn_generator
 from repro.engine.result import MachineResult, TraceEvent
 from repro.errors import (
+    DeadlockError,
     InvariantViolationError,
     ProgramError,
     SimulationLimitError,
@@ -51,6 +52,7 @@ from repro.logp.instructions import (
 )
 from repro.logp.network import Medium, StallRecord
 from repro.perf.counters import KernelCounters
+from repro.perf.event_queue import make_event_queue
 from repro.logp.scheduler import (
     AcceptancePolicy,
     AcceptFIFO,
@@ -290,16 +292,9 @@ class LogPMachine:
         length-``p`` sequence is given) to completion."""
         p = self.params.p
         programs = coerce_programs(program, p)
-
-        engine = Engine(
-            kernel=self.kernel,
-            p=p,
-            max_events=self.max_events,
-            layer=self.layer,
-            faults=self.faults,
-            obs=self.obs,
-        )
-        active = engine.active
+        queue = make_event_queue(self.kernel, p)
+        # Activated per run, so each run draws fresh fault streams.
+        active = self.faults.activate() if self.faults is not None else None
 
         procs: list[_Proc] = []
         for pid in range(p):
@@ -314,8 +309,7 @@ class LogPMachine:
             or (self.obs is not None and self.obs.tracing)
         )
         trace = Trace(self.params) if want_trace else None
-        queue = engine.queue
-        push = engine.push
+        push = queue.push
 
         def schedule_delivery(msg: Message, t: int) -> None:
             push(t, _EV_DELIVER, msg.dest, msg)
@@ -359,100 +353,18 @@ class LogPMachine:
                 if t_crash is not None:
                     push(t_crash, _EV_CRASH, pid, None)
 
-        makespan = 0
-
-        def dispatch(time: int, kind: int, pid: int, data: Any) -> None:
-            """LogP model semantics for one popped event.  The intra-step
-            phase order (crash < deliver < submit < resume) is encoded in
-            the event-kind numbering; the engine's queue delivers it."""
-            nonlocal makespan
-            proc = procs[pid]
-            if kind == _EV_RESUME:
-                if proc.state == _DONE:
-                    return
-                if data is _TRYRECV:
-                    # Deferred poll: the processor's clock ran ahead of
-                    # event time; now (time == clock) the buffer reflects
-                    # every delivery up to it.
-                    if not self._start_acquire(proc, time, push, trace):
-                        proc.clock += 1
-                        proc.state = _IDLE
-                        push(proc.clock, _EV_RESUME, pid, None)
-                    return
-                if time > proc.clock:
-                    proc.clock = time
-                if proc.clock > makespan:
-                    makespan = proc.clock
-                self._step(proc, data, push, trace, time)
-                if proc.clock > makespan:
-                    makespan = proc.clock
-            elif kind == _EV_DELIVER:
-                msg: Message = data
-                if not medium.deliverable(msg):
-                    # Dropped in flight: free the capacity slot, never
-                    # buffer (the fault log already has the record).
-                    medium.on_delivered(msg, time)
-                    return
-                buffer = proc.buffer
-                buffer.append((time, msg))
-                buffered = len(buffer) - proc.buf_head
-                if buffered > proc.buffer_highwater:
-                    proc.buffer_highwater = buffered
-                if trace is not None:
-                    trace.on_delivered(msg, time)
-                medium.on_delivered(msg, time)
-                state = proc.state
-                if state == _BLOCKED_RECV or state == _LINGERING:
-                    self._start_acquire(proc, time, push, trace)
-            elif kind == _EV_SUBMIT:
-                if proc.state == _DONE or proc.pending_send is None:
-                    return  # sender crashed between prepare and submit
-                msg = proc.pending_send
-                proc.pending_send = None
-                if trace is not None:
-                    trace.on_submitted(msg, time)
-                accepted_at = medium.submit(pid, msg, time)
-                if accepted_at is not None:
-                    proc.state = _RUNNING
-                    push(accepted_at, _EV_RESUME, pid, accepted_at)
-                else:
-                    proc.state = _STALLING
-                    if self.forbid_stalling:
-                        raise StallError(
-                            f"processor {pid} stalled submitting {msg!r} at t={time} "
-                            f"(forbid_stalling=True)"
-                        )
-            else:  # _EV_CRASH
-                # proc.clock > time: the engine ran the processor's
-                # local computation optimistically past the crash
-                # instant, so the "finish" never actually happened.
-                if proc.state != _DONE or proc.clock > time:
-                    proc.state = _DONE
-                    proc.result = CRASHED
-                    proc.pending_send = None
-                    active.log.crashes.append((pid, time))
-
-        def release_lingerers(time: int) -> bool:
-            # Quiescence: nothing in flight, nobody runnable.  Release
-            # lingering processors (Linger resolves to None) and keep
-            # draining whatever their final actions generate.
-            lingerers = [pr for pr in procs if pr.state == _LINGERING]
-            if not lingerers:
-                return False
-            for pr in lingerers:
-                pr.state = _IDLE
-                push(pr.clock, _EV_RESUME, pr.pid, None)
-            return True
-
-        engine.run(dispatch, on_quiescence=release_lingerers)
+        makespan, last_time = self._drive(queue, procs, medium, trace, active)
+        if self.obs is not None:
+            self.obs.publish_kernel(self.layer, queue.counters)
 
         blocked = [pr.pid for pr in procs if pr.state in (_BLOCKED_RECV, _STALLING)]
         if blocked:
-            raise engine.deadlock_error(
-                f"simulation drained with processors {blocked} still blocked "
-                f"(waiting on messages that will never arrive)",
+            raise DeadlockError(
+                f"[{self.layer}] simulation drained with processors "
+                f"{blocked} still blocked (waiting on messages that will "
+                f"never arrive)",
                 diagnostics=self._deadlock_diagnostics(
-                    procs, medium, active, engine.last_time, queue
+                    procs, medium, active, last_time, queue
                 ),
             )
 
@@ -486,6 +398,116 @@ class LogPMachine:
         if not self.record_trace:
             result_obj.trace = None
         return result_obj
+
+    def _drive(self, queue, procs, medium, trace, active) -> tuple[int, int]:
+        """The drive loop: walk each timestamp's batch, then release
+        lingering processors at quiescence and keep going.
+
+        Entries come in ``(kind, seq)`` order, so the intra-step phase
+        order (crash < deliver < submit < resume) is encoded entirely in
+        the event-kind numbering.  ``queue.cursor`` is kept just past the
+        entry being handled, so a push at the batch's own time lands
+        among the undrained entries.  Exactly ``max_events`` events may
+        be handled; the next one raises before it is.  Returns the
+        makespan and the time of the last event.
+        """
+        push = queue.push
+        next_batch = queue.next_batch
+        counters = queue.counters
+        max_events = self.max_events
+        forbid_stalling = self.forbid_stalling
+        step = self._step
+        start_acquire = self._start_acquire
+        submit = medium.submit
+        on_delivered = medium.on_delivered
+        deliverable = medium.deliverable if active is not None else None
+        makespan = 0
+        time = 0
+        while True:
+            while (nxt := next_batch()) is not None:
+                time, batch = nxt
+                budget = max_events - counters.events
+                i = 0
+                while i < len(batch):
+                    kind, _seq, pid, data = batch[i]
+                    i += 1
+                    queue.cursor = i
+                    if i > budget:
+                        raise SimulationLimitError(
+                            f"[{self.layer}] exceeded max_events={max_events}"
+                        )
+                    proc = procs[pid]
+                    if kind == _EV_RESUME:
+                        if proc.state == _DONE:
+                            continue
+                        if data is _TRYRECV:
+                            # Deferred poll: the processor's clock ran
+                            # ahead of event time; now (time == clock) the
+                            # buffer reflects every delivery up to it.
+                            if not start_acquire(proc, time, push, trace):
+                                proc.clock += 1
+                                proc.state = _IDLE
+                                push(proc.clock, _EV_RESUME, pid, None)
+                            continue
+                        if time > proc.clock:
+                            proc.clock = time
+                        step(proc, data, push, trace, time)
+                        if proc.clock > makespan:
+                            makespan = proc.clock
+                    elif kind == _EV_DELIVER:
+                        if deliverable is not None and not deliverable(data):
+                            # Dropped in flight: free the capacity slot,
+                            # never buffer (the fault log has the record).
+                            on_delivered(data, time)
+                            continue
+                        buffer = proc.buffer
+                        buffer.append((time, data))
+                        buffered = len(buffer) - proc.buf_head
+                        if buffered > proc.buffer_highwater:
+                            proc.buffer_highwater = buffered
+                        if trace is not None:
+                            trace.on_delivered(data, time)
+                        on_delivered(data, time)
+                        state = proc.state
+                        if state == _BLOCKED_RECV or state == _LINGERING:
+                            start_acquire(proc, time, push, trace)
+                    elif kind == _EV_SUBMIT:
+                        msg = proc.pending_send
+                        if proc.state == _DONE or msg is None:
+                            continue  # sender crashed between prepare and submit
+                        proc.pending_send = None
+                        if trace is not None:
+                            trace.on_submitted(msg, time)
+                        accepted_at = submit(pid, msg, time)
+                        if accepted_at is not None:
+                            proc.state = _RUNNING
+                            push(accepted_at, _EV_RESUME, pid, accepted_at)
+                        else:
+                            proc.state = _STALLING
+                            if forbid_stalling:
+                                raise StallError(
+                                    f"processor {pid} stalled submitting "
+                                    f"{msg!r} at t={time} (forbid_stalling=True)"
+                                )
+                    else:  # _EV_CRASH
+                        # proc.clock > time: the machine ran the
+                        # processor's local computation optimistically past
+                        # the crash instant, so the "finish" never
+                        # actually happened.
+                        if proc.state != _DONE or proc.clock > time:
+                            proc.state = _DONE
+                            proc.result = CRASHED
+                            proc.pending_send = None
+                            active.log.crashes.append((pid, time))
+            # Quiescence: nothing in flight, nobody runnable.  Release
+            # lingering processors (Linger resolves to None) and keep
+            # draining whatever their final actions generate.
+            lingerers = [pr for pr in procs if pr.state == _LINGERING]
+            if not lingerers:
+                return makespan, time
+            for pr in lingerers:
+                pr.state = _IDLE
+                push(pr.clock, _EV_RESUME, pr.pid, None)
 
     @staticmethod
     def _deadlock_diagnostics(procs, medium, active, time, queue) -> dict:

@@ -92,6 +92,13 @@ class Medium:
         self._seq = 0
         self.stalls: list[StallRecord] = []
         self.total_accepted = 0
+        # A subclass that reshapes acceptance (the fault injector) keeps
+        # the general path; the base medium accepts in one call.
+        cls = type(self)
+        self._inline_accept = (
+            cls._accept is Medium._accept
+            and cls._pick_delivery_step is Medium._pick_delivery_step
+        )
 
     # ------------------------------------------------------------------
 
@@ -103,12 +110,32 @@ class Medium:
         resumed through the ``on_accept`` callback).
         """
         d = msg.dest
-        if not self.pending[d] and self.in_transit[d] < self.capacity:
+        in_transit = self.in_transit
+        if self.pending[d] or in_transit[d] >= self.capacity:
+            self._seq += 1
+            self.pending[d].append((t, self._seq, sender, msg))
+            return None
+        if not self._inline_accept:
             self._accept(sender, msg, t, stalled_since=None)
             return t
-        self._seq += 1
-        self.pending[d].append((t, self._seq, sender, msg))
-        return None
+        # What `_accept` and `_pick_delivery_step` do, in one call (the
+        # two must stay in step).  The count is below capacity, so taking
+        # a slot cannot overflow it.
+        in_transit[d] += 1
+        self.total_accepted += 1
+        L = self.params.L
+        delay = int(self.delivery.propose_delay(msg, t, L))
+        if delay < 1:
+            delay = 1
+        elif delay > L:
+            delay = L
+        step = t + delay
+        occupied = self._occupied[d]
+        if step in occupied:
+            step = self._free_step(d, step, t, t + L)
+        occupied.add(step)
+        self._on_schedule(msg, step)
+        return t
 
     def on_delivered(self, msg: Message, t: int) -> None:
         """A delivery to ``msg.dest`` completed at time ``t``: free the
@@ -118,7 +145,8 @@ class Medium:
         if self.in_transit[d] < 0:
             raise CapacityViolationError(f"negative in-transit count at {d}")
         self._occupied[d].discard(t)
-        self._drain_pending(d, t)
+        if self.pending[d]:
+            self._drain_pending(d, t)
 
     def _drain_pending(self, d: int, t: int) -> None:
         """Accept as many pending submissions for ``d`` as slots allow."""

@@ -95,7 +95,7 @@ class Observation:
     def publish_kernel(self, layer: str, counters) -> None:
         """Publish one engine's :class:`~repro.perf.counters.KernelCounters`.
 
-        Deduplicated by object identity: the engine core publishes at
+        Deduplicated by object identity: the LogP machine publishes at
         drain time and the result-level observers publish defensively,
         so the same counters object may arrive twice.
         """

@@ -17,6 +17,10 @@ how the next event is located:
   exists to avoid.  It is kept as the equivalence oracle for the golden
   trace suite and as the measured baseline of ``bench_kernel``.
 
+Both hand a drive loop one sorted batch per timestamp
+(:meth:`~IndexedEventQueue.next_batch`), which the loop walks in place;
+:meth:`~IndexedEventQueue.pop` is the same order one event at a time.
+
 Ordering contract (shared by both implementations):
 
 * pushes during the drain of time ``t``'s batch may target ``t`` itself
@@ -49,85 +53,122 @@ __all__ = [
 KERNELS = ("event", "tick")
 
 
-class IndexedEventQueue:
+class _Batches:
+    """What both queues share: the batch being drained and its cursor.
+
+    A drive loop asks :meth:`next_batch` for the next timestamp's sorted
+    batch of ``(kind, seq, pid, data)`` entries and walks it in place,
+    keeping :attr:`cursor` at the index just past the entry it dispatches.
+    A push at the batch's own time is insorted at or after the cursor,
+    so it lands in ``(kind, seq)`` position among the undrained entries.
+    The queue counts dispatched events from the cursor when it moves to
+    the next batch, so the walk itself touches no counter.
+    """
+
+    def __init__(self, kernel: str) -> None:
+        self.counters = KernelCounters(kernel=kernel)
+        self._seq = 0  # pushes so far: every push draws the next seq
+        self._done = 0  # events handled in earlier batches
+        self._cur: list[tuple[int, int, int, Any]] = []
+        #: Index, in the current batch, of the first undrained entry.
+        self.cursor = 0
+
+    def __len__(self) -> int:
+        # Every push draws one seq, so pushes minus dispatched events is
+        # what is pending.
+        return self._seq - self._done - self.cursor
+
+    def _drained(self) -> int:
+        """Fold the drained batch into the event count; returns it."""
+        done = self._done = self._done + self.cursor
+        self.counters.events = done
+        self.cursor = 0
+        return done
+
+    def pop(self) -> tuple[int, int, int, Any] | None:
+        """Next event as ``(time, kind, pid, data)``, or ``None``: the
+        per-event view of the batches, one entry at a time."""
+        cur = self._cur
+        i = self.cursor
+        if i >= len(cur):
+            if self.next_batch() is None:
+                return None
+            cur = self._cur
+            i = 0
+        self.cursor = i + 1
+        self.counters.events += 1
+        kind, _seq, pid, data = cur[i]
+        return (self._time, kind, pid, data)
+
+
+class IndexedEventQueue(_Batches):
     """Timestamp-indexed queue with skip-ahead and per-timestamp batches."""
 
     def __init__(self, p: int = 0) -> None:
-        self.counters = KernelCounters(kernel="event")
-        self._seq = 0
-        self._size = 0
+        super().__init__("event")
         self._buckets: dict[int, list[tuple[int, int, int, Any]]] = {}
         self._times: list[int] = []  # min-heap; one live entry per bucket
-        self._cur: list[tuple[int, int, int, Any]] = []
-        self._cur_i = 0
-        self._cur_time: int | None = None
+        self._time: int | None = None
         self._prev_time: int | None = None
-
-    def __len__(self) -> int:
-        return self._size
 
     def push(self, time: int, kind: int, pid: int, data: Any = None) -> None:
         seq = self._seq = self._seq + 1
-        item = (kind, seq, pid, data)
-        cur_time = self._cur_time
+        cur_time = self._time
         if cur_time is not None and time <= cur_time:
-            if self._cur_i < len(self._cur):
+            if self.cursor < len(self._cur):
                 # Mid-batch push: only the current timestamp is admissible.
                 if time < cur_time:
                     raise ValueError(
                         f"push into the past: t={time} while draining "
                         f"t={cur_time}"
                     )
-                insort(self._cur, item, lo=self._cur_i)
-                size = self._size = self._size + 1
+                insort(self._cur, (kind, seq, pid, data), lo=self.cursor)
+                size = seq - self._done - self.cursor
                 if size > self.counters.queue_highwater:
                     self.counters.queue_highwater = size
                 return
             # Batch drained: a push at or before the current time re-seeds
             # the queue (quiescence release); rewind and bucket normally.
-            self._cur_time = None
+            self._time = None
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._buckets[time] = []
             heapq.heappush(self._times, time)
-        bucket.append(item)
-        size = self._size = self._size + 1
+        bucket.append((kind, seq, pid, data))
+        size = seq - self._done - self.cursor
         if size > self.counters.queue_highwater:
             self.counters.queue_highwater = size
 
-    def pop(self) -> tuple[int, int, int, Any] | None:
-        """Next event as ``(time, kind, pid, data)``, or ``None``."""
-        cur = self._cur
-        i = self._cur_i
+    def next_batch(self) -> tuple[int, list[tuple[int, int, int, Any]]] | None:
+        """Skip ahead to the next timestamp holding events and return
+        ``(time, batch)``, the batch sorted by ``(kind, seq)``; ``None``
+        once the queue is empty.  Call it only when the current batch is
+        drained."""
+        self._drained()
+        if not self._times:
+            self._cur = []
+            return None
+        t = heapq.heappop(self._times)
+        cur = self._cur = self._buckets.pop(t)
+        cur.sort()
+        self._time = t
         counters = self.counters
-        if i >= len(cur):
-            if not self._times:
-                return None
-            t = heapq.heappop(self._times)
-            cur = self._cur = self._buckets.pop(t)
-            cur.sort()
-            i = 0
-            self._cur_time = t
-            counters.batches += 1
-            prev = self._prev_time if self._prev_time is not None else -1
-            if t - prev > 1:
-                counters.ticks_skipped += t - prev - 1
-            self._prev_time = t
-        kind, _seq, pid, data = cur[i]
-        self._cur_i = i + 1
-        self._size -= 1
-        counters.events += 1
-        return (self._cur_time, kind, pid, data)  # type: ignore[return-value]
+        counters.batches += 1
+        prev = self._prev_time if self._prev_time is not None else -1
+        if t - prev > 1:
+            counters.ticks_skipped += t - prev - 1
+        self._prev_time = t
+        return t, cur
 
     def front_snapshot(self, n: int = 8) -> list[dict]:
         """The next (up to) ``n`` pending events, in processing order —
         the ``DeadlockError`` diagnostics' view of what the kernel would
         do next."""
         out: list[dict] = []
-        for kind, _seq, pid, _data in self._cur[self._cur_i :]:
+        for kind, _seq, pid, _data in self._cur[self.cursor :]:
             if len(out) >= n:
                 return out
-            out.append({"time": self._cur_time, "kind": kind, "pid": pid})
+            out.append({"time": self._time, "kind": kind, "pid": pid})
         for t in sorted(self._buckets):
             for kind, _seq, pid, _data in sorted(self._buckets[t]):
                 if len(out) >= n:
@@ -136,7 +177,7 @@ class IndexedEventQueue:
         return out
 
 
-class TickScanQueue:
+class TickScanQueue(_Batches):
     """Per-tick scanning reference kernel (the pre-event-queue semantics).
 
     Keeps one pending-event list per processor and, at every clock tick,
@@ -146,77 +187,66 @@ class TickScanQueue:
     """
 
     def __init__(self, p: int) -> None:
-        self.counters = KernelCounters(kernel="tick")
+        super().__init__("tick")
         self._p = p
-        self._seq = 0
-        self._size = 0
         self._pending: list[list[tuple[int, int, int, Any]]] = [
             [] for _ in range(max(1, p))
         ]
-        self._now = -1
-        self._cur: list[tuple[int, int, int, Any]] = []
-        self._cur_i = 0
-
-    def __len__(self) -> int:
-        return self._size
+        self._time = -1
 
     def push(self, time: int, kind: int, pid: int, data: Any = None) -> None:
-        self._seq += 1
-        if self._cur_i < len(self._cur):
-            if time < self._now:
+        seq = self._seq = self._seq + 1
+        if self.cursor < len(self._cur):
+            if time < self._time:
                 raise ValueError(
-                    f"push into the past: t={time} while scanning t={self._now}"
+                    f"push into the past: t={time} while scanning t={self._time}"
                 )
-            if time == self._now:
-                insort(self._cur, (kind, self._seq, pid, data), lo=self._cur_i)
-                self._size += 1
+            if time == self._time:
+                insort(self._cur, (kind, seq, pid, data), lo=self.cursor)
                 self.counters.queue_highwater = max(
-                    self.counters.queue_highwater, self._size
+                    self.counters.queue_highwater, len(self)
                 )
                 return
-        elif time <= self._now:
+        elif time <= self._time:
             # Quiescence release may re-seed behind the scan point.
-            self._now = time - 1
+            self._time = time - 1
         slot = pid if 0 <= pid < len(self._pending) else 0
-        self._pending[slot].append((time, kind, self._seq, data))
-        self._size += 1
-        self.counters.queue_highwater = max(self.counters.queue_highwater, self._size)
+        self._pending[slot].append((time, kind, seq, data))
+        self.counters.queue_highwater = max(self.counters.queue_highwater, len(self))
 
-    def pop(self) -> tuple[int, int, int, Any] | None:
-        if self._cur_i >= len(self._cur):
-            if not self._size:
-                return None
-            while True:
-                self._now += 1
-                self.counters.batches += 1
-                due: list[tuple[int, int, int, Any]] = []
-                # The per-tick scanning loop: visit every processor's
-                # pending list at every single tick.
-                for pid, events in enumerate(self._pending):
-                    if not events:
-                        continue
-                    keep = []
-                    for time, kind, seq, data in events:
-                        if time == self._now:
-                            due.append((kind, seq, pid, data))
-                        else:
-                            keep.append((time, kind, seq, data))
-                    self._pending[pid] = keep
-                if due:
-                    due.sort()
-                    self._cur = due
-                    self._cur_i = 0
-                    break
-        kind, _seq, pid, data = self._cur[self._cur_i]
-        self._cur_i += 1
-        self._size -= 1
-        self.counters.events += 1
-        return (self._now, kind, pid, data)
+    def next_batch(self) -> tuple[int, list[tuple[int, int, int, Any]]] | None:
+        """Scan tick after tick until one has events due; return
+        ``(time, batch)`` sorted by ``(kind, seq)``, or ``None`` once
+        nothing is pending.  Call it only when the current batch is
+        drained."""
+        if self._drained() == self._seq:
+            self._cur = []
+            return None
+        while True:
+            self._time += 1
+            self.counters.batches += 1
+            due: list[tuple[int, int, int, Any]] = []
+            # The per-tick scanning loop: visit every processor's
+            # pending list at every single tick.
+            for pid, events in enumerate(self._pending):
+                if not events:
+                    continue
+                keep = []
+                for time, kind, seq, data in events:
+                    if time == self._time:
+                        due.append((kind, seq, pid, data))
+                    else:
+                        keep.append((time, kind, seq, data))
+                self._pending[pid] = keep
+            if due:
+                due.sort()
+                self._cur = due
+                return self._time, due
 
     def front_snapshot(self, n: int = 8) -> list[dict]:
         out: list[dict] = []
-        for kind, _seq, pid, _data in self._cur[self._cur_i :]:
-            out.append({"time": self._now, "kind": kind, "pid": pid})
+        for kind, _seq, pid, _data in self._cur[self.cursor :]:
+            out.append({"time": self._time, "kind": kind, "pid": pid})
         rest = [
             (time, kind, seq, pid)
             for pid, events in enumerate(self._pending)

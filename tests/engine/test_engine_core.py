@@ -6,14 +6,15 @@ import pytest
 from repro.bsp.machine import BSPMachine
 from repro.bsp.program import Send, Sync
 from repro.engine import (
-    Engine,
     MachineResult,
     TraceEvent,
     coerce_programs,
     counters_for,
 )
 from repro.errors import DeadlockError, ProgramError, SimulationLimitError
-from repro.logp import Recv
+from repro.logp import Recv, TryRecv, WaitUntil
+from repro.logp.instructions import Compute, Linger
+from repro.logp.instructions import Send as LSend
 from repro.logp.machine import LogPMachine
 from repro.models.params import BSPParams, LogPParams
 from repro.perf import KERNELS
@@ -106,59 +107,116 @@ class TestLayerLabelledErrors:
 
 
 class TestDriveLoop:
-    """``Engine.run``: per-event dispatch in ``(time, kind, seq)`` order,
-    the ``max_events`` guard, and the quiescence release."""
-
-    def _engine(self, kernel="event", **kwargs):
-        kwargs.setdefault("max_events", 1000)
-        engine = Engine(kernel=kernel, p=4, layer="test", **kwargs)
-        engine.push(3, 1, 0, "x")
-        engine.push(3, 0, 1, "y")
-        engine.push(7, 0, 2, "z")
-        return engine
+    """``LogPMachine``'s drive loop: each timestamp's batch walked in
+    ``(kind, seq)`` order, the ``max_events`` guard, and the quiescence
+    release."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_dispatch_in_pop_order(self, kernel):
-        engine = self._engine(kernel)
-        seen = []
-        engine.run(lambda t, k, pid, data: seen.append((t, k, pid, data)))
-        assert seen == [(3, 0, 1, "y"), (3, 1, 0, "x"), (7, 0, 2, "z")]
-        assert engine.last_time == 7
-        assert engine.counters.events == 3
+        """With o = 0 every Send submits at its own resume's time, so the
+        submit lands inside the batch being walked, right after that
+        resume; deliveries at a time come before the resumes they wake."""
+        params = LogPParams(p=3, L=4, o=0, G=2)  # capacity 2
+
+        def prog(ctx):
+            if ctx.pid < 2:
+                yield LSend(2, "ab"[ctx.pid])
+                return None
+            first = yield Recv()
+            second = yield Recv()
+            return [first.payload, second.payload]
+
+        res = LogPMachine(params, record_trace=True, kernel=kernel).run(prog)
+        # Both accepted at 0; the second proposal (4) collides and moves
+        # down to 3, so "b" arrives first.
+        assert res.results == [None, None, ["b", "a"]]
+        assert res.makespan == 5
+        assert res.trace.submissions == [
+            (0, 0, res.trace.submissions[0][2]),
+            (0, 1, res.trace.submissions[1][2]),
+        ]
+        assert [(t, d) for t, d, _uid in res.trace.deliveries] == [(3, 2), (4, 2)]
+        # t=0: 3 resumes, 2 submits, 2 post-send resumes; then two
+        # deliveries and two post-acquire resumes (the second acquire
+        # waits out the gap to t=5).
+        assert res.kernel.events == 11
+        if kernel == "event":
+            # The resume pushed at t=3 by the batch's last entry (a
+            # zero-cost acquire) opens t=3 again as a batch of its own.
+            assert res.kernel.batches == 5
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_delivery_precedes_resume_at_one_time(self, kernel):
+        """A poll deferred to the delivery's own time sees the message."""
+        params = LogPParams(p=2, L=4, o=1, G=2)
+
+        def prog(ctx):
+            if ctx.pid == 0:
+                yield LSend(1, "x")
+                return None
+            yield WaitUntil(1 + 4)  # submit at o = 1, delivered at 1 + L
+            msg = yield TryRecv()
+            return None if msg is None else msg.payload
+
+        res = LogPMachine(params, kernel=kernel).run(prog)
+        assert res.results == [None, "x"]
+
+    @staticmethod
+    def _poller(seen, polls=5):
+        """Every event is a resume: each failed poll costs one step and
+        comes back as the next event."""
+
+        def prog(ctx):
+            for _ in range(polls):
+                seen.append((ctx.pid, ctx.clock))
+                yield TryRecv()
+            return None
+
+        return prog
 
     def test_max_events_guard(self):
-        engine = self._engine(max_events=2)
+        seen = []
         with pytest.raises(SimulationLimitError, match=r"\[test\] .*max_events"):
-            engine.run(lambda *event: None)
+            LogPMachine(PARAMS, max_events=2, layer="test").run(self._poller(seen))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_max_events_boundary(self, kernel):
         """Exactly ``max_events`` events complete; one more raises
-        before it is dispatched."""
+        before it is handled."""
+        params = LogPParams(p=2, L=8, o=2, G=2)
         seen = []
-        engine = self._engine(kernel, max_events=3)
-        engine.run(lambda *event: seen.append(event[3]))
-        assert seen == ["y", "x", "z"]
+        res = LogPMachine(params, kernel=kernel).run(self._poller(seen))
+        total = res.kernel.events
+        assert len(seen) == 10 and total == 12  # 5 polls + the final resume, x2
 
-        seen.clear()
-        engine = self._engine(kernel, max_events=2)
-        with pytest.raises(SimulationLimitError, match=r"\[test\] exceeded max_events=2"):
-            engine.run(lambda *event: seen.append(event[3]))
-        assert seen == ["y", "x"]
+        seen = []
+        LogPMachine(params, kernel=kernel, max_events=total).run(self._poller(seen))
+        assert len(seen) == 10
+
+        seen = []
+        machine = LogPMachine(
+            params, kernel=kernel, max_events=7, layer="test"
+        )
+        with pytest.raises(SimulationLimitError, match=r"\[test\] exceeded max_events=7"):
+            machine.run(self._poller(seen))
+        assert len(seen) == 7
 
     def test_quiescence_release_reenters_the_loop(self):
-        engine = self._engine()
-        seen = []
-        released = []
+        """Once nothing is in flight and nobody can run, a lingering
+        processor resumes (with ``None``) at its own, older clock, and the
+        loop keeps going."""
+        params = LogPParams(p=2, L=8, o=2, G=2)
 
-        def on_quiescence(last_time):
-            if released:
-                return False
-            released.append(last_time)
-            engine.push(last_time + 4, 0, 1, "released")
-            return True
+        def prog(ctx):
+            if ctx.pid == 1:
+                yield Compute(7)
+                return "worker"
+            got = yield Linger()
+            yield Compute(4)
+            return (got, ctx.clock)
 
-        engine.run(lambda *event: seen.append(event[3]), on_quiescence=on_quiescence)
-        assert released == [7]
-        assert seen == ["y", "x", "z", "released"]
-        assert engine.last_time == 11
+        for kernel in KERNELS:
+            res = LogPMachine(params, kernel=kernel).run(prog)
+            assert res.results == [(None, 4), "worker"]
+            assert res.makespan == 7
+            assert res.kernel.events == 3  # two starts, one release

@@ -27,7 +27,9 @@ from repro.core.bsp_on_logp import simulate_bsp_on_logp
 from repro.core.logp_on_bsp import simulate_logp_on_bsp
 from repro.engine.request import build_stack
 from repro.faults import FaultPlan, reliable
+from repro.logp.collectives import gather
 from repro.logp.machine import LogPMachine, LogPResult
+from repro.logp.scheduler import DeliverEager
 from repro.models.params import LogPParams
 from repro.networks import Hypercube
 from repro.networks.routing_sim import RoutingConfig, route_h_relation
@@ -93,6 +95,64 @@ def case_bsp_on_logp_det(kernel: str) -> dict:
             [t.index, t.local_end, t.sync_end, t.route_end] for t in rep.timings
         ],
     }
+
+
+def case_bsp_on_logp_offline(kernel: str) -> dict:
+    """Theorem 2's offline Hall baseline: every h-relation is colored in
+    advance and each message pinned to its color's slot, so the run pins
+    the offline mode's slot schedule (``bench_kernel``'s
+    ``bsp_on_logp_p64`` path, at p = 8)."""
+    rep = simulate_bsp_on_logp(
+        PARAMS,
+        bsp_prefix_program(),
+        routing="offline",
+        seed=0,
+        machine_kwargs={"kernel": kernel, "record_trace": True},
+    )
+    return {
+        "logp": _logp_projection(rep.logp),
+        "program_results": rep.results,
+        "timings": [
+            [t.index, t.local_end, t.sync_end, t.route_end] for t in rep.timings
+        ],
+    }
+
+
+def case_bsp_on_logp_on_network(kernel: str) -> dict:
+    """The three-layer chain through the request path: the host LogP
+    machine takes every message's delay from ``NetworkDelivery`` (the
+    packet router's time on the hypercube), so the delivery steps pin the
+    medium's acceptance of delays below ``L``."""
+    rep = build_stack({
+        "chain": "bsp-on-logp-on-network",
+        "workload": "prefix",
+        "p": 8,
+        "seed": 1,
+        "kernel": kernel,
+    }).run(machine_kwargs={"record_trace": True})
+    return {
+        "logp": _logp_projection(rep.logp),
+        "program_results": rep.results,
+        "timings": [
+            [t.index, t.local_end, t.sync_end, t.route_end] for t in rep.timings
+        ],
+    }
+
+
+def case_logp_eager_collisions(kernel: str) -> dict:
+    """A gather under ``DeliverEager`` (capacity ceil(L/G) = 4): seven
+    senders submit to the root at one step, four are accepted together
+    and each proposes delay 1, so the medium moves all but the first to
+    the next free delivery step, and the other three stall until
+    deliveries free their slots."""
+
+    def prog(ctx):
+        return (yield from gather(ctx, 3 * ctx.pid + 1))
+
+    res = LogPMachine(
+        PARAMS, delivery=DeliverEager(), record_trace=True, kernel=kernel
+    ).run(prog)
+    return _logp_projection(res)
 
 
 def case_logp_on_bsp(kernel: str) -> dict:
@@ -209,8 +269,11 @@ def case_bsp_on_network(kernel: str) -> dict:
 
 CASES = {
     "bsp_on_logp_det": case_bsp_on_logp_det,
+    "bsp_on_logp_offline": case_bsp_on_logp_offline,
+    "bsp_on_logp_on_network": case_bsp_on_logp_on_network,
     "bsp_on_network": case_bsp_on_network,
     "logp_on_bsp": case_logp_on_bsp,
+    "logp_eager_collisions": case_logp_eager_collisions,
     "logp_faulty": case_logp_faulty,
     "routing": case_routing,
     "routing_multiport_dense": case_routing_multiport_dense,

@@ -2,7 +2,7 @@ import operator
 
 import pytest
 
-from repro.logp import LogPMachine, Send
+from repro.logp import LogPMachine, Recv, Send
 from repro.logp.collectives import (
     binary_tree_reduce,
     binomial_broadcast,
@@ -11,6 +11,8 @@ from repro.logp.collectives import (
     recv_n_tagged,
     recv_tag,
 )
+from repro.logp.instructions import LogPContext
+from repro.models.message import Message
 from repro.models.params import LogPParams
 
 from tests.conftest import LOGP_GRID, logp_grid_ids
@@ -65,6 +67,40 @@ class TestRecvTag:
 
         res = LogPMachine(params).run(prog)
         assert res.results[0] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+    def test_recv_n_tagged_is_n_recv_tags(self):
+        """Stashed matches first, in stash order, then fresh
+        acquisitions with mismatches stashed: the same messages, stash
+        and number of ``Recv`` instructions as ``n`` calls of
+        ``recv_tag``."""
+
+        def reference(ctx, tag, n):
+            out = []
+            for _ in range(n):
+                out.append((yield from recv_tag(ctx, tag)))
+            return out
+
+        def drive(helper):
+            params = LogPParams(p=2, L=8, o=1, G=2)
+            ctx = LogPContext(0, 2, params)
+            msgs = [Message(1, 0, name, tag) for name, tag in (
+                ("a", 5), ("b", 9), ("c", 5), ("d", 7), ("e", 5), ("f", 5))]
+            ctx._stash.extend(msgs[:3])
+            arrivals = iter(msgs[3:])
+            gen = helper(ctx, 5, 4)
+            recvs = 0
+            try:
+                instr = next(gen)
+                while True:
+                    assert type(instr) is Recv
+                    recvs += 1
+                    instr = gen.send(next(arrivals))
+            except StopIteration as stop:
+                got = stop.value
+            return [m.payload for m in got], [m.payload for m in ctx._stash], recvs
+
+        assert drive(recv_n_tagged) == drive(reference) == (
+            ["a", "c", "e", "f"], ["b", "d"], 3)
 
 
 @pytest.mark.parametrize("params", LOGP_GRID, ids=logp_grid_ids())

@@ -16,7 +16,6 @@ Two guarantees, checked on every layer:
 from repro.bsp.machine import BSPMachine
 from repro.core.bsp_on_logp import simulate_bsp_on_logp
 from repro.core.logp_on_bsp import simulate_logp_on_bsp
-from repro.engine.core import Engine
 from repro.logp.machine import LogPMachine
 from repro.models.params import BSPParams, LogPParams
 from repro.networks import Hypercube
@@ -133,10 +132,15 @@ class TestEventParity:
 
 class TestDisabledIsNormalizedAway:
     def test_engine(self):
+        """The machine that owns the drive loop keeps an enabled
+        observation and publishes its kernel counters there."""
         disabled = Observation(enabled=False)
-        assert Engine(kernel="event", p=2, max_events=10, obs=disabled).obs is None
+        assert LogPMachine(PARAMS, obs=disabled).obs is None
         enabled = Observation()
-        assert Engine(kernel="event", p=2, max_events=10, obs=enabled).obs is enabled
+        machine = LogPMachine(PARAMS, obs=enabled)
+        assert machine.obs is enabled
+        res = machine.run(logp_sum_program())
+        assert enabled._published_kernels == [res.kernel]
 
     def test_machines(self):
         disabled = Observation(enabled=False)
